@@ -23,7 +23,6 @@ proxy.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -32,8 +31,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chordal import evolution_operator
+from .chordal import evolution_operator, hull_uniformizer
 from .classes import class_c_check
+from .driving import knot_lookup, knot_table
 from .errors import InvalidMap, OracleFailure, RangeMismatch
 from .maps import conjugate_by_cayley
 from .regularity import (
@@ -163,7 +163,7 @@ def slit_half_plane(driving, basepoint: complex = 2j, n_sub: int = 64) -> Domain
     horizon = driving.horizon
 
     def uniformizer(t: float):
-        return evolution_operator(driving, min(t, horizon), horizon, n_sub).closed_inverse()
+        return hull_uniformizer(driving, min(t, horizon), n_sub)
 
     def radius(t: float, w: complex) -> float:
         if w.imag <= 0:
@@ -377,22 +377,13 @@ class TimeMap:
     knots: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
-        hs = [h for _, h in self.knots]
-        if any(b < a - 1e-12 for a, b in zip(hs, hs[1:])):
+        table = knot_table(self.knots)
+        if np.any(table[1:, 1] < table[:-1, 1] - 1e-12):
             raise InvalidMap("time map must be nondecreasing")
+        object.__setattr__(self, "_table", table)
 
-    def value(self, t: float) -> float:
-        ts = [k[0] for k in self.knots]
-        i = bisect.bisect_right(ts, t) - 1
-        i = max(i, 0)
-        if i == len(self.knots) - 1:
-            return self.knots[i][1]
-        t0, h0 = self.knots[i]
-        t1, h1 = self.knots[i + 1]
-        if t <= t0:
-            return h0
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * h0 + w * h1
+    def value(self, t):
+        return knot_lookup(self._table, t)
 
 
 def reparametrize(

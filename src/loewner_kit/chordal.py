@@ -30,14 +30,7 @@ from .errors import (
     SelfIntersection,
     StepCollision,
 )
-from .maps import (
-    Composition,
-    Domain,
-    Identity,
-    MapEvaluator,
-    SlitStep,
-    sqrt_upper,
-)
+from .maps import Domain, Identity, MapEvaluator, SlitStep, slit_root
 from .ode import integrate_rk45
 
 __all__ = [
@@ -62,19 +55,13 @@ COLLISION_TOL = 1e-9
 def erase_many(w, lam: float, cap: float):
     """Vectorized erasing step lam + sqrt((w - lam)^2 - 2 cap)."""
     w = np.asarray(w, dtype=complex)
-    if cap == 0.0:
-        return w
-    u = w - lam
-    return lam + sqrt_upper(u * u - 2.0 * cap)
+    return w if cap == 0.0 else lam + slit_root(w - lam, -2.0 * cap)
 
 
 def grow_many(w, lam: float, cap: float):
     """Vectorized growing step lam + sqrt((w - lam)^2 + 2 cap)."""
     w = np.asarray(w, dtype=complex)
-    if cap == 0.0:
-        return w
-    u = w - lam
-    return lam + sqrt_upper(u * u + 2.0 * cap)
+    return w if cap == 0.0 else lam + slit_root(w - lam, 2.0 * cap)
 
 
 def elementary_step(w, lam: float, cap: float, direction: str = "erase"):
@@ -86,12 +73,9 @@ def elementary_step(w, lam: float, cap: float, direction: str = "erase"):
     """
     if cap < 0:
         raise InvalidMap("capacity increment must be nonnegative")
-    if direction == "erase":
-        out = erase_many(w, lam, cap)
-    elif direction == "grow":
-        out = grow_many(w, lam, cap)
-    else:
+    if direction not in ("erase", "grow"):
         raise InvalidMap("direction must be 'erase' or 'grow'")
+    out = (erase_many if direction == "erase" else grow_many)(w, lam, cap)
     return complex(out[()]) if np.ndim(w) == 0 else out
 
 
@@ -116,7 +100,7 @@ def solve_phi(
     w = np.atleast_1d(w).copy()
     if np.any(w.imag <= 0.0):
         raise InvalidMap("solve_phi needs points with Im z > 0")
-    for t0, t1, lam in driving.segments(s, t, n_sub):
+    for t0, t1, lam in driving.segments(s, t, n_sub).tolist():
         w = erase_many(w, lam, t1 - t0)
         hit = np.abs(w - lam) < collision_tol
         if np.any(hit):
@@ -134,14 +118,13 @@ def evolution_operator(
 ) -> MapEvaluator:
     """Transition map over [s, t] as a composable evaluator.
 
-    The composition of erase steps carries the exact tail
+    One :class:`SlitStep` run of erase steps; it carries the exact tail
     z + 0 - (t - s)/z, so downstream capacity functionals are exact.
     """
     segs = driving.segments(s, t, n_sub)
-    if not segs:
+    if not len(segs):
         return Identity(Domain.HALF_PLANE)
-    steps = tuple(SlitStep(lam, b - a, "erase") for a, b, lam in segs)
-    return steps[0] if len(steps) == 1 else Composition(steps)
+    return SlitStep(segs[:, 2], segs[:, 1] - segs[:, 0], "erase")
 
 
 def hull_uniformizer(
@@ -150,13 +133,10 @@ def hull_uniformizer(
     """Conformal map of the partially erased domain onto the half-plane.
 
     This is the inverse of :func:`evolution_operator` over [t, horizon]:
-    the composition of grow steps in reverse knot order.  For constant zero
+    the run of grow steps in reverse knot order.  For constant zero
     driving it is w -> sqrt(w^2 + 2 (horizon - t)).
     """
-    op = evolution_operator(driving, t, driving.horizon, n_sub)
-    inv = op.closed_inverse()
-    assert inv is not None  # slit steps always invert
-    return inv
+    return evolution_operator(driving, t, driving.horizon, n_sub).closed_inverse()
 
 
 def solve_phi_rk(
@@ -232,9 +212,9 @@ def trace_from_driving(
     if not work:
         return out
 
-    bounds = [0.0] + work
+    bounds = np.array([0.0] + work)
     caps = np.diff(bounds)
-    lams = np.array([driving.value(0.5 * (a + b)) for a, b in zip(bounds, bounds[1:])])
+    lams = driving.value(0.5 * (bounds[:-1] + bounds[1:]))
     m = len(work)
     vals = np.empty(m, dtype=complex)
     for k in range(m, 0, -1):

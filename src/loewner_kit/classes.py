@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import Diverging, InvalidMap, RigidityViolation, Unstable
+from .errors import Diverging, InvalidMap, LoewnerKitError, RigidityViolation, Unstable
 from .maps import (
     Domain,
     MapEvaluator,
@@ -520,7 +520,7 @@ def classify(m: MapEvaluator) -> ClassReport:
     c_tilde = False
     try:
         c_tilde, tail = class_ctilde_check(g)
-    except Exception as exc:  # FitResidual or estimator trouble
+    except LoewnerKitError as exc:  # FitResidual or estimator trouble
         diagnostics["tail_fit_error"] = str(exc)
 
     memberships = {

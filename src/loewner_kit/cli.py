@@ -36,7 +36,7 @@ from .chains import (
 from .chordal import extract_driving, solve_phi, trace_from_driving, TraceSample
 from .classes import classify
 from .driving import DrivingFunction
-from .errors import LoewnerKitError, EmptyFile, MonotoneViolation, ParseError
+from .errors import LoewnerKitError, EmptyFile, MonotoneViolation, ParseError, StepCollision
 from .families import (
     chordal_chain,
     chordal_family,
@@ -153,9 +153,12 @@ def _parse_points_csv(path: str) -> np.ndarray:
         if len(parts) != 2:
             raise ParseError(f"{path}:{ln_no}: expected 're,im', got {line!r}")
         try:
-            pts.append(complex(float(parts[0]), float(parts[1])))
+            re, im = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"{path}:{ln_no}: non-numeric row {line!r}")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ParseError(f"{path}:{ln_no}: non-finite point {line!r}")
+        pts.append(complex(re, im))
     if not pts:
         raise EmptyFile(f"{path}: no data rows")
     return np.array(pts)
@@ -233,20 +236,22 @@ def _gamma_from_expr(expr: str):
 def _cmd_evolve(args) -> int:
     driving = parse_driving_csv(args.driving, args.interp, args.horizon)
     pts = _parse_points_csv(args.points)
+
+    def evolve(points):
+        return solve_phi(driving, args.time_from, args.time_to, points, args.nsub)
+
     if args.threads > 1:
-        chunks = np.array_split(np.arange(pts.size), args.threads)
-        results = [None] * len(chunks)
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = [
-                pool.submit(
-                    solve_phi, driving, args.time_from, args.time_to, pts[idx], args.nsub
-                )
-                for idx in chunks if idx.size
-            ]
-            gathered = [f.result() for f in futures]
-        out = np.concatenate(gathered)
+        chunks = [c for c in np.array_split(pts, args.threads) if c.size]
+        try:
+            with ThreadPoolExecutor(max_workers=args.threads) as pool:
+                out = np.concatenate(list(pool.map(evolve, chunks)))
+        except StepCollision:
+            # a chunk numbers its points from 0; one pass over the whole
+            # input reports the collision exactly as a single thread does
+            evolve(pts)
+            raise
     else:
-        out = solve_phi(driving, args.time_from, args.time_to, pts, args.nsub)
+        out = evolve(pts)
     _write_csv(args.out, "re,im", [(w.real, w.imag) for w in out])
     return 0
 
@@ -421,12 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_io(p, needs_out=True):
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (deterministic order)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output file")
-
     def driving_flags(p):
         p.add_argument("--driving", help="driving CSV with header t,lambda")
         p.add_argument("--interp", choices=("const", "linear"), default="const")
@@ -438,24 +437,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="time_to", type=float, required=True)
     p.add_argument("--points", required=True, help="CSV of re,im points")
     p.add_argument("--nsub", type=int, default=64)
-    common_io(p)
+    p.add_argument("--threads", type=int, default=1, help="worker threads (deterministic order)")
+    p.add_argument("--out", required=True, help="output file")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("trace", help="trace of the curve generated by a driving term")
     driving_flags(p)
     p.add_argument("--grid", required=True, help="t0:t1:n")
-    common_io(p)
+    p.add_argument("--out", required=True, help="output file")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("extract", help="recover a driving term from a trace CSV")
     p.add_argument("--trace", required=True, help="CSV with header t,re,im (or re,im)")
-    common_io(p)
+    p.add_argument("--out", required=True, help="output file")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("classify", help="function-class report for a JSON map spec")
     p.add_argument("--map", required=True, help="JSON map spec")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="report JSON (stdout when omitted)")
     p.set_defaults(func=_cmd_classify)
 
@@ -465,8 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     driving_flags(p)
     p.add_argument("--schedule", help="derivative schedule CSV (t,lambda; linear)")
     p.add_argument("--triples", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_family_verify)
 
@@ -478,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="t0:t1:n")
     p.add_argument("--order", default="inf", help="regularity order d (or 'inf')")
     p.add_argument("--profile-out", help="optional CSV t,mu")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_chain)
 
@@ -488,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float, default=4 * math.pi)
     p.add_argument("--n", type=int, default=200)
     driving_flags(p)
-    common_io(p)
+    p.add_argument("--out", required=True, help="output file")
     p.set_defaults(func=_cmd_demo)
     return parser
 

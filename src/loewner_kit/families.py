@@ -16,7 +16,6 @@ boundary fixed point is only ever checked at the declared location.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -24,6 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .classes import ell, is_p0
+from .driving import knot_lookup, knot_table
 from .errors import DomainEscape, InvalidMap, ScheduleInvalid
 from .maps import (
     Affine,
@@ -182,34 +182,25 @@ class DerivativeSchedule:
     order: float = math.inf
 
     def __post_init__(self):
-        ts = [t for t, _ in self.knots]
-        vs = [v for _, v in self.knots]
+        table = knot_table(self.knots)
+        ts, vs = table[:, 0], table[:, 1]
         if not self.knots or ts[0] != 0.0 or vs[0] != 0.0:
             raise ScheduleInvalid("schedule must start with knot (0, 0)")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if np.any(ts[1:] <= ts[:-1]):
             raise ScheduleInvalid("schedule knot times must increase")
-        if any(b < a - 1e-15 for a, b in zip(vs, vs[1:])):
+        if np.any(vs[1:] < vs[:-1] - 1e-15):
             raise ScheduleInvalid("schedule values must be nondecreasing")
-        if not all(math.isfinite(t) and math.isfinite(v) for t, v in self.knots):
+        if not np.all(np.isfinite(table)):
             raise ScheduleInvalid("schedule knots must be finite")
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def from_function(cls, fn, horizon: float, n: int = 129, order: float = math.inf):
         ts = np.linspace(0.0, horizon, n)
         return cls(tuple((float(t), float(fn(t))) for t in ts), order)
 
-    def value(self, t: float) -> float:
-        ts = [k[0] for k in self.knots]
-        i = bisect.bisect_right(ts, t) - 1
-        i = max(i, 0)
-        if i == len(self.knots) - 1:
-            return self.knots[i][1]
-        t0, v0 = self.knots[i]
-        t1, v1 = self.knots[i + 1]
-        if t <= t0:
-            return v0
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * v0 + w * v1
+    def value(self, t):
+        return knot_lookup(self._table, t)
 
     def blaschke_parameter(self, t: float) -> float:
         """a(t) = (e^{lambda(t)} - 1)/(e^{lambda(t)} + 1) in (-1, 1)."""

@@ -1,8 +1,10 @@
 """Composable holomorphic-map evaluators on the disk and the half-plane.
 
 The central object is :class:`MapEvaluator`: an immutable tree of closed-form
-primitives (affine, Moebius, Cayley, square-root slit step, measure-integral
-maps, ...) closed under composition.  Every evaluator knows
+primitives (affine, Moebius, Cayley, square-root slit steps, measure-integral
+maps, ...) closed under composition.  A :class:`SlitStep` may hold a whole
+run of slit steps in arrays: an evolution operator or a hull uniformizer is
+one run, not one object per step.  Every evaluator knows
 
 * its declared domain (unit disk or upper half-plane) and a codomain hint,
 * exact pointwise values and exact derivatives (chain rule over primitives;
@@ -50,6 +52,7 @@ __all__ = [
     "CAYLEY",
     "CAYLEY_INV",
     "sqrt_upper",
+    "slit_root",
     "cayley",
     "cayley_inverse",
     "pseudo_hyperbolic",
@@ -78,6 +81,12 @@ def sqrt_upper(u):
     """
     s = np.sqrt(np.asarray(u, dtype=complex))
     return np.where(s.imag < 0.0, -s, s)
+
+
+def slit_root(u, c):
+    """The kernel of every slit step: ``sqrt_upper(u^2 + c)`` with u = w - lam,
+    c = -2 cap (erase) or +2 cap (grow); the step is w -> lam + root."""
+    return sqrt_upper(u * u + c)
 
 
 def _as_complex(z):
@@ -130,6 +139,10 @@ class MapEvaluator:
 
     def _deriv(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _eval_deriv(self, z: np.ndarray, d: np.ndarray):
+        """``(f(z), d * f'(z))``: one chain-rule step of a composition."""
+        return self._eval(z), d * self._deriv(z)
 
     def _check_domain(self, z: np.ndarray) -> None:
         if self.domain is Domain.DISK:
@@ -352,9 +365,12 @@ CAYLEY = Cayley()
 CAYLEY_INV = CayleyInverse()
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class SlitStep(MapEvaluator):
-    """Elementary vertical-slit step of the chordal equation.
+    """Elementary vertical-slit step of the chordal equation, or a run of them.
+
+    ``lam`` and ``cap`` are scalars (one step) or equal-length arrays (a
+    run of steps, applied first to last).
 
     ``erase``: w -> lam + sqrt((w - lam)^2 - 2 cap), the flow of
     dw/dt = 1/(lam - w) over capacity ``cap`` (points move up, a boundary
@@ -363,7 +379,9 @@ class SlitStep(MapEvaluator):
     ``grow``: the inverse map, w -> lam + sqrt((w - lam)^2 + 2 cap).
 
     Both use the shared upper-half-plane square-root branch and are total on
-    the closed half-plane.
+    the closed half-plane.  The tail z -/+ sum(cap)/z and the inverse (the
+    reversed run, other direction) take no loop over steps.  Steps compare
+    and hash by identity.
     """
 
     kind = "slit_step"
@@ -374,10 +392,17 @@ class SlitStep(MapEvaluator):
     codomain = Domain.HALF_PLANE
 
     def __post_init__(self):
-        if self.cap < 0:
+        lams = np.array(self.lam, dtype=float, ndmin=1)
+        caps = np.array(self.cap, dtype=float, ndmin=1)
+        if lams.ndim != 1 or lams.shape != caps.shape or lams.size == 0:
+            raise InvalidMap("slit run needs 1-d lam and cap of equal nonzero length")
+        if np.any(caps < 0):
             raise InvalidMap("slit step needs capacity >= 0")
         if self.direction not in ("erase", "grow"):
             raise InvalidMap("direction must be 'erase' or 'grow'")
+        lams.flags.writeable = caps.flags.writeable = False
+        object.__setattr__(self, "_lams", lams)
+        object.__setattr__(self, "_caps", caps)
 
     @property
     def _sign(self) -> float:
@@ -385,28 +410,39 @@ class SlitStep(MapEvaluator):
 
     @property
     def tail(self):
-        return Tail(1.0, 0.0, self._sign * self.cap)
+        # summed in step order, as folding the steps' tails one by one does
+        return Tail(1.0, 0.0, self._sign * float(np.cumsum(self._caps)[-1]))
+
+    def _steps(self):
+        """(lam, 2 sign cap) of each step as floats, in application order."""
+        return zip(self._lams.tolist(), (2.0 * self._sign * self._caps).tolist())
 
     def _eval(self, z):
-        u = z - self.lam
-        return self.lam + sqrt_upper(u * u + 2.0 * self._sign * self.cap)
+        for lam, c in self._steps():
+            z = lam + slit_root(z - lam, c)
+        return z
 
     def _deriv(self, z):
-        u = z - self.lam
-        root = sqrt_upper(u * u + 2.0 * self._sign * self.cap)
-        return u / root
+        return self._eval_deriv(z, np.ones_like(z))[1]
+
+    def _eval_deriv(self, z, d):
+        for lam, c in self._steps():
+            u = z - lam
+            root = slit_root(u, c)
+            d = d * (u / root)
+            z = lam + root
+        return z, d
 
     def closed_inverse(self):
         flipped = "grow" if self.direction == "erase" else "erase"
-        return SlitStep(self.lam, self.cap, flipped)
+        return SlitStep(self._lams[::-1], self._caps[::-1], flipped)
 
     def to_spec(self):
-        return {
-            "kind": "slit_step",
-            "lam": self.lam,
-            "capacity": self.cap,
-            "direction": self.direction,
-        }
+        parts = [
+            {"kind": "slit_step", "lam": lam, "capacity": cap, "direction": self.direction}
+            for lam, cap in zip(self._lams.tolist(), self._caps.tolist())
+        ]
+        return parts[0] if len(parts) == 1 else {"kind": "compose", "parts": parts}
 
 
 @dataclass(frozen=True, repr=False)
@@ -490,24 +526,18 @@ class GenericCallable(MapEvaluator):
         return (self._eval(z + h) - self._eval(z - h)) / (2.0 * h)
 
 
-def _cancels(first: MapEvaluator, second: MapEvaluator) -> bool:
-    a, b = first.kind, second.kind
-    return (a, b) in (("cayley", "cayley_inverse"), ("cayley_inverse", "cayley"))
+_INVERSE_KINDS = {("cayley", "cayley_inverse"), ("cayley_inverse", "cayley")}
 
 
 def _flatten(factors) -> tuple:
+    # one stack pass cancels adjacent Cayley / inverse pairs, nested ones too
     flat = []
     for f in factors:
-        flat.extend(f.factors)
-    # cancel adjacent Cayley / inverse pairs; repeat until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(flat) - 1):
-            if _cancels(flat[i], flat[i + 1]):
-                del flat[i : i + 2]
-                changed = True
-                break
+        for g in f.factors:
+            if flat and (flat[-1].kind, g.kind) in _INVERSE_KINDS:
+                flat.pop()
+            else:
+                flat.append(g)
     return tuple(flat)
 
 
@@ -552,8 +582,7 @@ class Composition(MapEvaluator):
     def _deriv(self, z):
         d = np.ones_like(z)
         for f in self.parts:
-            d = d * f._deriv(z)
-            z = f._eval(z)
+            z, d = f._eval_deriv(z, d)
         return d
 
     def closed_inverse(self):

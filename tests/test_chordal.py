@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from loewner_kit import (
+    Composition,
     DiskField,
     DrivingFunction,
+    SlitStep,
     cayley,
     cayley_inverse,
+    conjugate_by_cayley,
     disk_field_eval,
     elementary_step,
     ell,
     evolution_operator,
     extract_driving,
     hull_uniformizer,
+    map_from_spec,
+    map_to_spec,
     solve_disk_ode,
     solve_phi,
     solve_phi_rk,
@@ -28,7 +33,7 @@ from loewner_kit.errors import (
 )
 from loewner_kit.ode import integrate_rk45
 
-from conftest import sample_half_plane
+from conftest import sample_disk, sample_half_plane
 
 
 def random_pc_driving(rng, horizon=None):
@@ -73,6 +78,11 @@ class TestSolvePhi:
         z = sample_half_plane(rng, 10)
         out = solve_phi(d, 0.5, 0.5, z)
         assert np.array_equal(out, z)
+
+    def test_no_substeps_rejected(self):
+        d = DrivingFunction.from_samples([0.0, 1.0], [0.0, 1.0], "linear")
+        with pytest.raises(InvalidMap):
+            solve_phi(d, 0.0, 1.0, [1j], n_sub=0)
 
     def test_off_axis_point_against_rk(self):
         d = DrivingFunction.constant(0.0, 1.0)
@@ -172,6 +182,39 @@ class TestEvolutionOperator:
             a = solve_phi(d, s, t, z)
             b = solve_phi(d, s, u, z)
             assert np.max(np.abs(a - b) - (t - u) / z.imag) <= 1e-10
+
+    def test_run_matches_composition_of_single_steps(self, rng):
+        # reference path: one single-step SlitStep per row of segments
+        knots = np.linspace(0.0, 1.0, 33)
+        drivings = [
+            DrivingFunction.from_samples(knots, np.sin(3.0 * knots), "linear"),
+            DrivingFunction.from_samples(knots, np.sin(3.0 * knots), "const"),
+            random_pc_driving(rng, horizon=2.0),
+        ]
+        z = sample_half_plane(rng, 40)
+        zd = sample_disk(rng, 40)
+        for d in drivings:
+            for s, t in ((0.0, 1.0), (0.1, 0.55), (0.3, 0.3 + 1e-3)):
+                for n_sub in (1, 7, 64):
+                    op = evolution_operator(d, s, t, n_sub)
+                    ref = Composition(tuple(
+                        SlitStep(lam, b - a, "erase")
+                        for a, b, lam in d.segments(s, t, n_sub).tolist()
+                    ))
+                    assert isinstance(op, SlitStep)
+                    assert np.array_equal(op.evaluate(z), ref.evaluate(z))
+                    assert np.array_equal(op.derivative(z), ref.derivative(z))
+                    assert (op.tail.a, op.tail.b, op.tail.c) == (ref.tail.a, ref.tail.b, ref.tail.c)
+                    assert np.array_equal(
+                        op.closed_inverse().evaluate(z), ref.closed_inverse().evaluate(z)
+                    )
+                    # the chain rule through a run multiplies in step order
+                    assert np.array_equal(
+                        conjugate_by_cayley(op).derivative(zd),
+                        conjugate_by_cayley(ref).derivative(zd),
+                    )
+                    again = map_from_spec(map_to_spec(op))
+                    assert np.array_equal(again.evaluate(z), op.evaluate(z))
 
     def test_hull_uniformizer_closed_form(self):
         d = DrivingFunction.constant(0.0, 2.0)

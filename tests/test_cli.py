@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from loewner_kit.cli import main, parse_driving_csv
+from loewner_kit.cli import build_parser, main, parse_driving_csv
 from loewner_kit.errors import EmptyFile, MonotoneViolation
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -24,6 +24,29 @@ def zero_driving(tmp_path):
 @pytest.fixture
 def points_csv(tmp_path):
     return write(tmp_path / "grid.csv", "re,im\n1,1\n0,2\n-2,0.5\n")
+
+
+EVOLVE = ["evolve", "--from", "0", "--to", "1", "--points", "p.csv", "--out", "o.csv"]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        EVOLVE + ["--seed", "1"],
+        ["trace", "--grid", "0:1:3", "--out", "o.csv", "--threads", "2"],
+        ["extract", "--trace", "t.csv", "--out", "o.csv", "--seed", "1"],
+        ["classify", "--map", "m.json", "--seed", "1"],
+        ["family-verify", "--family", "radial", "--threads", "2"],
+        ["chain", "--family", "slit", "--grid", "0:1:3", "--seed", "1"],
+        ["demo", "spiral", "--out", "o.csv", "--threads", "2"],
+    ])
+    def test_options_a_verb_ignores_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+
+    def test_options_in_use_are_kept(self):
+        assert build_parser().parse_args(EVOLVE + ["--threads", "2"]).threads == 2
+        assert build_parser().parse_args(["family-verify", "--seed", "3"]).seed == 3
 
 
 class TestParseDriving:
@@ -75,6 +98,30 @@ class TestEvolve:
             ])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_non_finite_point_exit_2(self, tmp_path, zero_driving, capsys):
+        for row in ("nan,1", "1,inf"):
+            pts = write(tmp_path / "bad.csv", f"re,im\n1,1\n{row}\n")
+            out = tmp_path / "o.csv"
+            code = main([
+                "evolve", "--driving", zero_driving, "--horizon", "1",
+                "--from", "0", "--to", "1", "--points", pts, "--out", str(out),
+            ])
+            assert code == 2
+            assert ":3:" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_threaded_collision_index_is_global(self, tmp_path, zero_driving, capsys):
+        # only the last point reaches the driving value, at the last step
+        pts = write(tmp_path / "p.csv", "re,im\n0,2\n0,3\n1,1e-20\n")
+        for threads in (1, 2, 3):
+            code = main([
+                "evolve", "--driving", zero_driving, "--horizon", "1",
+                "--from", "0", "--to", "0.5", "--points", pts,
+                "--threads", str(threads), "--out", str(tmp_path / "o.csv"),
+            ])
+            assert code == 3
+            assert "point 2 absorbed" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main([

@@ -204,6 +204,13 @@ class TestConjugateByCayley:
         assert abs(boundary_derivative(phi) - 1.0) < 1e-6
 
 
+class TestSlitRun:
+    def test_malformed_run_rejected(self):
+        for lam, cap in (([0.0, 1.0], [0.1]), ([], []), ([[0.0]], [[0.1]]), ([0.0, 1.0], [0.1, -0.1])):
+            with pytest.raises(InvalidMap):
+                SlitStep(lam, cap, "erase")
+
+
 class TestMoebius:
     def test_degenerate_rejected(self):
         with pytest.raises(InvalidMap):

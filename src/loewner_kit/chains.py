@@ -150,7 +150,7 @@ def translated_half_planes(c: float = 1.0, basepoint: complex = 1j) -> DomainFam
     )
 
 
-def slit_half_plane(driving, basepoint: complex = 2j, n_sub: int = 64) -> DomainFamily:
+def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
     """Erasing family of the chordal solver.
 
     Omega_t is the upper half-plane minus the still-standing part of the
@@ -162,15 +162,12 @@ def slit_half_plane(driving, basepoint: complex = 2j, n_sub: int = 64) -> Domain
     """
     horizon = driving.horizon
 
-    def uniformizer(t: float):
-        return hull_uniformizer(driving, min(t, horizon), n_sub)
-
     def radius(t: float, w: complex) -> float:
         if w.imag <= 0:
             raise OracleFailure(f"basepoint {w} is not in the half-plane")
         if t >= horizon:
             return 2.0 * w.imag
-        u = uniformizer(t)
+        u = hull_uniformizer(driving, t)
         val = complex(u.evaluate(w))
         if val.imag <= _SWALLOW_TOL:
             raise OracleFailure(
@@ -184,13 +181,13 @@ def slit_half_plane(driving, basepoint: complex = 2j, n_sub: int = 64) -> Domain
             return False
         if t >= horizon:
             return True
-        return complex(uniformizer(t).evaluate(w)).imag > _SWALLOW_TOL
+        return complex(hull_uniformizer(driving, t).evaluate(w)).imag > _SWALLOW_TOL
 
     probes = (basepoint + 1j, basepoint + 2.0 + 1j, -1.5 + 0.8j)
     return DomainFamily(
         "slit_half_plane", basepoint, radius, contains, probes,
         probe_times=(0.0, 0.5 * horizon, horizon),
-        params={"driving": driving, "n_sub": n_sub},
+        params={"driving": driving},
     )
 
 

@@ -84,23 +84,21 @@ def solve_phi(
     s: float,
     t: float,
     points: Sequence[complex],
-    n_sub: int = 64,
-    collision_tol: float = COLLISION_TOL,
+    *, collision_tol: float = COLLISION_TOL,
 ) -> np.ndarray:
     """Transition map of the erasing flow applied to interior points.
 
-    Composes exact elementary steps over the piecewise-constant resampling
-    of the driving term (``n_sub`` substeps per knot interval in linear
-    mode).  A point whose trajectory approaches the driving value within
-    ``collision_tol`` is reported as swallowed via :class:`StepCollision`,
-    never clamped.
+    Composes exact elementary steps over the driving term's steps
+    (:meth:`DrivingFunction.segments`).  A point whose trajectory approaches
+    the driving value within ``collision_tol`` is reported as swallowed via
+    :class:`StepCollision`, never clamped.
     """
     w = np.asarray(points, dtype=complex)
     scalar = w.ndim == 0
     w = np.atleast_1d(w).copy()
     if np.any(w.imag <= 0.0):
         raise InvalidMap("solve_phi needs points with Im z > 0")
-    for t0, t1, lam in driving.segments(s, t, n_sub).tolist():
+    for t0, t1, lam in driving.segments(s, t).tolist():
         w = erase_many(w, lam, t1 - t0)
         hit = np.abs(w - lam) < collision_tol
         if np.any(hit):
@@ -113,30 +111,28 @@ def solve_phi(
     return w[0] if scalar else w
 
 
-def evolution_operator(
-    driving: DrivingFunction, s: float, t: float, n_sub: int = 64
-) -> MapEvaluator:
+def evolution_operator(driving: DrivingFunction, s: float, t: float) -> MapEvaluator:
     """Transition map over [s, t] as a composable evaluator.
 
-    One :class:`SlitStep` run of erase steps; it carries the exact tail
-    z + 0 - (t - s)/z, so downstream capacity functionals are exact.
+    One :class:`SlitStep` run of erase steps, a slice of the driving term's
+    one step partition; it carries the exact tail z + 0 - (t - s)/z, so
+    capacity functionals are exact, and the maps over [s, u] and [u, t]
+    compose to the map over [s, t] up to round-off.
     """
-    segs = driving.segments(s, t, n_sub)
+    segs = driving.segments(s, t)
     if not len(segs):
         return Identity(Domain.HALF_PLANE)
     return SlitStep(segs[:, 2], segs[:, 1] - segs[:, 0], "erase")
 
 
-def hull_uniformizer(
-    driving: DrivingFunction, t: float, n_sub: int = 64
-) -> MapEvaluator:
+def hull_uniformizer(driving: DrivingFunction, t: float) -> MapEvaluator:
     """Conformal map of the partially erased domain onto the half-plane.
 
     This is the inverse of :func:`evolution_operator` over [t, horizon]:
     the run of grow steps in reverse knot order.  For constant zero
     driving it is w -> sqrt(w^2 + 2 (horizon - t)).
     """
-    return evolution_operator(driving, t, driving.horizon, n_sub).closed_inverse()
+    return evolution_operator(driving, t, driving.horizon).closed_inverse()
 
 
 def solve_phi_rk(

@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,9 @@ from .chains import (
 from .chordal import extract_driving, solve_phi, trace_from_driving, TraceSample
 from .classes import classify
 from .driving import DrivingFunction
-from .errors import LoewnerKitError, EmptyFile, MonotoneViolation, ParseError, StepCollision
+from .errors import (
+    EmptyFile, InvalidMap, LoewnerKitError, MonotoneViolation, ParseError, StepCollision,
+)
 from .families import (
     chordal_chain,
     chordal_family,
@@ -77,11 +79,19 @@ def _write_csv(path: str, header: str, rows: Sequence[Sequence[float]]) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _null_non_finite(obj):
+    """``obj`` with every non-finite float, at any depth, turned into None."""
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_report(path: Optional[str], payload: dict, config: dict) -> None:
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
-    payload["config"] = config
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=True) + "\n"
+    """Write ``payload`` as strict JSON: a non-finite value becomes null."""
+    payload = _null_non_finite({**payload, "schema_version": SCHEMA_VERSION, "config": config})
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -89,13 +99,7 @@ def _write_report(path: Optional[str], payload: dict, config: dict) -> None:
 
 
 def _config_of(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    out = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip:
-            continue
-        out[k] = v
-    return out
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 # ---------------------------------------------------------------------------
@@ -103,89 +107,72 @@ def _config_of(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _csv_rows(path: str, headers: Tuple[str, ...], widths: Tuple[int, ...] = (2,)):
+    """The header found (one of ``headers``, or None) and the numbered data
+    rows ``(line number, values)`` of a CSV file.
+
+    Every row must hold one of ``widths`` finite numbers; a violation names
+    the file and the line.
+    """
+    with open(path) as fh:
+        body = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not body:
+        raise EmptyFile(f"{path}: no content")
+    first = body[0].replace(" ", "").lower()
+    header = next((h for h in headers if first.startswith(h)), None)
+    start = 0 if header is None else 1
+    rows = []
+    for ln_no, line in enumerate(body[start:], start=start + 1):
+        parts = line.split(",")
+        if len(parts) not in widths:
+            raise ParseError(f"{path}:{ln_no}: expected '{headers[0]}', got {line!r}")
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError:
+            raise ParseError(f"{path}:{ln_no}: non-numeric row {line!r}")
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"{path}:{ln_no}: non-finite row {line!r}")
+        rows.append((ln_no, vals))
+    if not rows:
+        raise EmptyFile(f"{path}: no data rows")
+    return header, rows
+
+
 def parse_driving_csv(
-    path: str, interp: str = "const", horizon: Optional[float] = None
+    path: str, interp: str = "const", horizon: Optional[float] = None, n_sub: int = 64
 ) -> DrivingFunction:
     """Read a driving CSV with header ``t,lambda``.
 
-    Times must strictly increase from 0; a single row needs an explicit
-    horizon.  Violations carry the offending line number.
+    Values must be finite and times strictly increasing from 0; a single row
+    needs an explicit horizon.  Violations name the file (and the line).
     """
-    rows: List[tuple] = []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    body = [ln for ln in lines if ln.strip()]
-    if not body:
-        raise EmptyFile(f"{path}: no content")
-    start = 1 if body[0].replace(" ", "").lower().startswith("t,lambda") else 0
-    if len(body) <= start:
-        raise EmptyFile(f"{path}: no data rows")
-    prev_t = None
-    for ln_no, line in enumerate(body[start:], start=start + 1):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{ln_no}: expected 't,lambda', got {line!r}")
-        try:
-            t, lam = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"{path}:{ln_no}: non-numeric row {line!r}")
-        if prev_t is not None and t <= prev_t:
-            raise MonotoneViolation(
-                f"{path}:{ln_no}: time {t} does not increase past {prev_t}"
-            )
-        prev_t = t
-        rows.append((t, lam))
-    if rows[0][0] != 0.0:
-        raise MonotoneViolation(f"{path}:{1 + start}: first time must be 0")
-    mode = {"const": "const", "linear": "linear"}[interp]
-    return DrivingFunction(tuple(rows), mode, horizon)
+    _, rows = _csv_rows(path, ("t,lambda",))
+    for (_, (prev_t, _)), (ln_no, (t, _)) in zip(rows, rows[1:]):
+        if t <= prev_t:
+            raise MonotoneViolation(f"{path}:{ln_no}: time {t} does not increase past {prev_t}")
+    knots = tuple((t, lam) for _, (t, lam) in rows)
+    if knots[0][0] != 0.0:
+        raise MonotoneViolation(f"{path}:{rows[0][0]}: first time must be 0")
+    try:
+        return DrivingFunction(knots, interp, horizon, n_sub)
+    except InvalidMap as exc:
+        raise ParseError(f"{path}: {exc}")
 
 
 def _parse_points_csv(path: str) -> np.ndarray:
-    with open(path) as fh:
-        body = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not body:
-        raise EmptyFile(f"{path}: no content")
-    start = 1 if body[0].replace(" ", "").lower().startswith("re,im") else 0
-    pts = []
-    for ln_no, line in enumerate(body[start:], start=start + 1):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{ln_no}: expected 're,im', got {line!r}")
-        try:
-            re, im = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"{path}:{ln_no}: non-numeric row {line!r}")
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ParseError(f"{path}:{ln_no}: non-finite point {line!r}")
-        pts.append(complex(re, im))
-    if not pts:
-        raise EmptyFile(f"{path}: no data rows")
-    return np.array(pts)
+    _, rows = _csv_rows(path, ("re,im",))
+    return np.array([complex(re, im) for _, (re, im) in rows])
 
 
 def _parse_trace_csv(path: str) -> List[TraceSample]:
-    with open(path) as fh:
-        body = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not body:
-        raise EmptyFile(f"{path}: no content")
-    header = body[0].replace(" ", "").lower()
-    start = 1 if header.startswith(("t,re,im", "re,im")) else 0
-    three_cols = not header.startswith("re,im")
+    header, rows = _csv_rows(path, ("t,re,im", "re,im"), widths=(2, 3))
     out = []
-    for ln_no, line in enumerate(body[start:], start=start + 1):
-        parts = line.split(",")
-        try:
-            if len(parts) == 3:
-                out.append(TraceSample(float(parts[0]), complex(float(parts[1]), float(parts[2]))))
-            elif len(parts) == 2 and not three_cols:
-                out.append(TraceSample(float(ln_no), complex(float(parts[0]), float(parts[1]))))
-            else:
-                raise ValueError
-        except ValueError:
-            raise ParseError(f"{path}:{ln_no}: bad trace row {line!r}")
-    if not out:
-        raise EmptyFile(f"{path}: no data rows")
+    for ln_no, vals in rows:
+        if len(vals) == 2:
+            if header != "re,im":
+                raise ParseError(f"{path}:{ln_no}: a two-column row needs the 're,im' header")
+            vals = [float(ln_no)] + vals
+        out.append(TraceSample(vals[0], complex(vals[1], vals[2])))
     return out
 
 
@@ -234,11 +221,11 @@ def _gamma_from_expr(expr: str):
 
 
 def _cmd_evolve(args) -> int:
-    driving = parse_driving_csv(args.driving, args.interp, args.horizon)
+    driving = parse_driving_csv(args.driving, args.interp, args.horizon, args.nsub)
     pts = _parse_points_csv(args.points)
 
     def evolve(points):
-        return solve_phi(driving, args.time_from, args.time_to, points, args.nsub)
+        return solve_phi(driving, args.time_from, args.time_to, points)
 
     if args.threads > 1:
         chunks = [c for c in np.array_split(pts, args.threads) if c.size]
@@ -436,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="time_from", type=float, required=True)
     p.add_argument("--to", dest="time_to", type=float, required=True)
     p.add_argument("--points", required=True, help="CSV of re,im points")
-    p.add_argument("--nsub", type=int, default=64)
+    p.add_argument("--nsub", type=int, default=64, help="steps per knot piece (linear mode)")
     p.add_argument("--threads", type=int, default=1, help="worker threads (deterministic order)")
     p.add_argument("--out", required=True, help="output file")
     p.set_defaults(func=_cmd_evolve)

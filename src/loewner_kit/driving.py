@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
@@ -44,12 +45,14 @@ class DrivingFunction:
     ``mode`` selects piecewise-constant or piecewise-linear evaluation.  In
     constant mode each knot value holds on [t_k, t_{k+1}); in linear mode
     values interpolate between knots.  Past the last knot the final value is
-    held up to the horizon.
+    held up to the horizon.  ``n_sub`` is the number of steps per piece of
+    the linear-mode step partition (see :meth:`segments`).
     """
 
     knots: Tuple[Tuple[float, float], ...]
     mode: str = "const"
     horizon: float = None
+    n_sub: int = 64
 
     def __post_init__(self):
         if not self.knots:
@@ -64,13 +67,15 @@ class DrivingFunction:
             raise InvalidMap("knot times must be strictly increasing")
         if not np.all(np.isfinite(table)):
             raise InvalidMap("knots must be finite")
+        if not (isinstance(self.n_sub, (int, np.integer)) and self.n_sub >= 1):
+            raise InvalidMap(f"n_sub must be an integer >= 1, got {self.n_sub}")
         horizon = self.horizon if self.horizon is not None else ts[-1]
         # horizon 0 is the degenerate empty driving (single knot at t = 0),
         # produced by extracting a bare root point
         if horizon < 0.0 or (horizon == 0.0 and len(self.knots) > 1):
             raise InvalidMap("horizon must be positive")
-        if horizon < ts[-1]:
-            raise InvalidMap("horizon lies before the last knot")
+        if not (np.isfinite(horizon) and horizon >= ts[-1]):
+            raise InvalidMap("horizon must be finite and not before the last knot")
         object.__setattr__(self, "horizon", float(horizon))
         object.__setattr__(self, "_table", table)
 
@@ -102,27 +107,40 @@ class DrivingFunction:
             raise InvalidMap(f"t = {t} outside [0, {self.horizon}]")
         return knot_lookup(self._table, arr, self.mode == "linear")
 
-    def segments(self, s: float, t: float, n_sub: int = 64) -> np.ndarray:
-        """Partition [s, t] into steps: an (n, 3) array of rows (t0, t1, lambda).
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """The step partition of [0, horizon] (see :meth:`segments`), read-only."""
+        ts = self._table[:, 0]
+        bounds = ts if self.horizon == ts[-1] else np.append(ts, self.horizon)
+        linear = self.mode == "linear"
+        n = self.n_sub if linear else 1
+        a, b = bounds[:-1, None], bounds[1:, None]
+        edges = np.append(a + np.arange(n) * ((b - a) / n), bounds[-1])
+        t0, t1 = edges[:-1], edges[1:]
+        lam = knot_lookup(self._table, 0.5 * (t0 + t1) if linear else t0, linear)
+        steps = np.column_stack((t0, t1, lam))
+        steps.flags.writeable = False
+        return steps
 
-        Cuts fall at s, at the knots inside (s, t) and at t.  Constant mode
-        takes each piece whole with its left-end value (the elementary step
-        is exact for constant driving, so substeps buy nothing).  Linear
-        mode splits each piece into ``n_sub`` steps sampled at midpoints.
+    def segments(self, s: float, t: float) -> np.ndarray:
+        """Steps over [s, t]: an (n, 3) array of rows (t0, t1, lambda).
+
+        They are the rows of one step partition of [0, horizon] that meet
+        [s, t], the first start clipped to s and the last end to t, each
+        with the lambda of its uncut step.  In the partition each knot
+        piece, and the held piece up to the horizon, is one step with its
+        left-end value in constant mode (the elementary step is exact for
+        constant driving) and ``n_sub`` steps sampled at their midpoints in
+        linear mode.  So the steps over [s, u] and [u, t] tile those over
+        [s, t], and transition maps compose up to round-off.
         """
         if not (0.0 <= s <= t <= self.horizon + 1e-12):
             raise InvalidMap(f"need 0 <= s <= t <= horizon, got [{s}, {t}]")
         if t <= s:
             return np.empty((0, 3))
-        ts = self._table[:, 0]
-        cuts = np.concatenate(([s], ts[(ts > s) & (ts < t)], [t]))
-        a, b = cuts[:-1], cuts[1:]
-        if self.mode == "const":
-            return np.column_stack((a, b, self.value(a)))
-        if n_sub < 1:
-            raise InvalidMap(f"need n_sub >= 1, got {n_sub}")
-        h = ((b - a) / n_sub)[:, None]
-        j = np.arange(n_sub, dtype=float)
-        lo = (a[:, None] + j * h).ravel()
-        hi = (a[:, None] + (j + 1.0) * h).ravel()
-        return np.column_stack((lo, hi, self.value(0.5 * (lo + hi))))
+        steps = self._steps
+        first = np.searchsorted(steps[:, 1], s, side="right")
+        out = steps[first : np.searchsorted(steps[:, 0], t, side="left")].copy()
+        if len(out):
+            out[0, 0], out[-1, 1] = s, t
+        return out

@@ -490,11 +490,15 @@ class GoryainovBaReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self):
+        # strict JSON: a non-finite value is written as null, with a flag
+        margin = self.worst_bound_margin
         return {
-            "v_table": [list(p) for p in self.v_table],
+            "v_table": [[t, v if math.isfinite(v) else None] for t, v in self.v_table],
+            "v_table_finite": all(math.isfinite(v) for _, v in self.v_table),
             "monotone": self.monotone,
             "bound_ok": self.bound_ok,
-            "worst_bound_margin": self.worst_bound_margin,
+            "worst_bound_margin": margin if math.isfinite(margin) else None,
+            "worst_bound_margin_finite": math.isfinite(margin),
             "ac_proxy_passed": self.ac_proxy_passed,
             "p0_flags": list(self.p0_flags),
             "diagnostics": dict(self.diagnostics),
@@ -616,23 +620,18 @@ def translation_chain() -> ChainHandle:
     return ChainHandle(maker, probe_pairs=())
 
 
-def chordal_family(driving, side: str = "disk", n_sub: int = 64) -> FamilyHandle:
-    """Evolution family of the chordal solver for the given driving term."""
+def chordal_family(driving) -> FamilyHandle:
+    """Disk-side evolution family of the chordal solver; see ``half_plane_side()``."""
     from .chordal import evolution_operator
 
-    def hp_maker(s: float, t: float) -> MapEvaluator:
-        return evolution_operator(driving, s, t, n_sub)
-
-    if side == "half_plane":
-        return FamilyHandle(hp_maker, Domain.HALF_PLANE)
     return FamilyHandle(
-        lambda s, t: conjugate_by_cayley(hp_maker(s, t)),
+        lambda s, t: conjugate_by_cayley(evolution_operator(driving, s, t)),
         Domain.DISK,
         fixed_point=1.0 + 0.0j,
     )
 
 
-def chordal_chain(driving, n_sub: int = 64) -> ChainHandle:
+def chordal_chain(driving) -> ChainHandle:
     """Chain of partially erased slit domains for the chordal solver.
 
     f_t maps the disk onto the half-plane minus the not-yet-erased part of
@@ -642,7 +641,7 @@ def chordal_chain(driving, n_sub: int = 64) -> ChainHandle:
     from .chordal import evolution_operator
 
     def maker(t: float) -> MapEvaluator:
-        return compose(evolution_operator(driving, t, driving.horizon, n_sub), CAYLEY)
+        return compose(evolution_operator(driving, t, driving.horizon), CAYLEY)
 
     return ChainHandle(maker, probe_pairs=())
 

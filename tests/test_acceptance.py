@@ -261,12 +261,12 @@ def test_criterion_07_cross_solver_consistency():
     worst = 0.0
     for d in (
         DrivingFunction.constant(0.0, 1.0),
-        DrivingFunction.from_samples([0.0, 1.0], [0.3, 0.5], mode="linear"),
+        DrivingFunction(((0.0, 0.3), (1.0, 0.5)), "linear", n_sub=256),
     ):
         field = DiskField.from_driving(d)
         for z0 in probes:
             disk = solve_disk_ode(field, z0, 0.0, 1.0)
-            hp = solve_phi(d, 0.0, 1.0, [cayley(z0)], n_sub=256)[0]
+            hp = solve_phi(d, 0.0, 1.0, [cayley(z0)])[0]
             worst = max(worst, abs(disk - cayley_inverse(hp)))
     assert worst <= 1e-6
     report(7, f"disk ODE vs conjugated half-plane solver: max deviation {worst:.2e}")

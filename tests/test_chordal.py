@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewner_kit import (
     Composition,
@@ -80,9 +83,8 @@ class TestSolvePhi:
         assert np.array_equal(out, z)
 
     def test_no_substeps_rejected(self):
-        d = DrivingFunction.from_samples([0.0, 1.0], [0.0, 1.0], "linear")
         with pytest.raises(InvalidMap):
-            solve_phi(d, 0.0, 1.0, [1j], n_sub=0)
+            DrivingFunction(((0.0, 0.0), (1.0, 1.0)), "linear", n_sub=0)
 
     def test_off_axis_point_against_rk(self):
         d = DrivingFunction.constant(0.0, 1.0)
@@ -133,7 +135,7 @@ class TestSolvePhi:
         ref = solve_phi_rk(d, 0.0, 1.0, z, rtol=1e-12, atol=1e-14)
         errs = []
         for n_sub in (8, 16, 32):
-            errs.append(np.max(np.abs(solve_phi(d, 0.0, 1.0, z, n_sub=n_sub) - ref)))
+            errs.append(np.max(np.abs(solve_phi(replace(d, n_sub=n_sub), 0.0, 1.0, z) - ref)))
         # halving the substep roughly quarters the error
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0
@@ -193,13 +195,14 @@ class TestEvolutionOperator:
         ]
         z = sample_half_plane(rng, 40)
         zd = sample_disk(rng, 40)
-        for d in drivings:
+        for base in drivings:
             for s, t in ((0.0, 1.0), (0.1, 0.55), (0.3, 0.3 + 1e-3)):
                 for n_sub in (1, 7, 64):
-                    op = evolution_operator(d, s, t, n_sub)
+                    d = replace(base, n_sub=n_sub)
+                    op = evolution_operator(d, s, t)
                     ref = Composition(tuple(
                         SlitStep(lam, b - a, "erase")
-                        for a, b, lam in d.segments(s, t, n_sub).tolist()
+                        for a, b, lam in d.segments(s, t).tolist()
                     ))
                     assert isinstance(op, SlitStep)
                     assert np.array_equal(op.evaluate(z), ref.evaluate(z))
@@ -222,6 +225,76 @@ class TestEvolutionOperator:
         z = 2j
         want = np.sqrt(np.asarray((2j) ** 2 + 2.0, dtype=complex))
         assert abs(complex(u.evaluate(z)) - complex(want if want.imag >= 0 else -want)) < 1e-14
+
+
+@st.composite
+def drivings(draw):
+    """Const and linear driving terms with 1-5 knots and a held tail."""
+    gaps = draw(st.lists(st.floats(0.01, 0.5), max_size=4))
+    ts = np.concatenate(([0.0], np.cumsum(gaps)))
+    lams = draw(st.lists(st.floats(-1.5, 1.5), min_size=ts.size, max_size=ts.size))
+    horizon = float(ts[-1]) + draw(st.floats(0.0 if gaps else 0.01, 0.5))
+    mode = draw(st.sampled_from(("const", "linear")))
+    d = DrivingFunction.from_samples(ts, lams, mode, horizon)
+    return replace(d, n_sub=draw(st.integers(1, 16)))
+
+
+@st.composite
+def drivings_and_times(draw):
+    """A driving term and times s <= u <= t in [0, horizon]; u may be a knot."""
+    d = draw(drivings())
+    knot_times = [t for t, _ in d.knots]
+    s, u, t = sorted(
+        draw(st.one_of(st.floats(0.0, d.horizon), st.sampled_from(knot_times)))
+        for _ in range(3)
+    )
+    return d, s, u, t
+
+
+def cut_at(rows, u):
+    """Split the row whose open interval holds u into two with its lambda."""
+    inner = np.flatnonzero((rows[:, 0] < u) & (u < rows[:, 1]))
+    if not inner.size:
+        return rows
+    k = inner[0]
+    left, right = rows[k].copy(), rows[k].copy()
+    left[1] = right[0] = u
+    return np.vstack((rows[:k], left, right, rows[k + 1 :]))
+
+
+class TestStepPartition:
+    """Every transition map is a slice of the driving term's one partition."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drivings_and_times())
+    def test_semigroup_law(self, case):
+        d, s, u, t = case
+        z = np.array([0.3j, -1.2 + 0.5j, 2.0 + 1.5j, 0.1 + 3.0j])
+        left = evolution_operator(d, u, t).evaluate(evolution_operator(d, s, u).evaluate(z))
+        assert np.max(np.abs(left - evolution_operator(d, s, t).evaluate(z))) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(drivings_and_times())
+    def test_slices_tile(self, case):
+        d, s, u, t = case
+        parts = np.concatenate((d.segments(s, u), d.segments(u, t)))
+        assert np.array_equal(parts, cut_at(d.segments(s, t), u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(drivings_and_times())
+    def test_capacity_is_length(self, case):
+        d, s, _, t = case
+        assert abs(ell(evolution_operator(d, s, t)) - (t - s)) <= 1e-12
+
+    def test_partition_shares_ends_and_is_read_only(self):
+        d = DrivingFunction(((0.0, 0.0), (0.5, 1.0), (1.0, -1.0)), "linear", 2.0, n_sub=3)
+        steps = d.segments(0.0, 2.0)
+        assert steps.shape == (9, 3)
+        assert np.array_equal(steps[1:, 0], steps[:-1, 1])
+        # the held piece past the last knot is split as well, at the held value
+        assert np.array_equal(steps[6:, 2], [-1.0, -1.0, -1.0])
+        with pytest.raises(ValueError):
+            d._steps[0, 2] = 5.0
 
 
 class TestTrace:
@@ -374,7 +447,7 @@ class TestDiskOde:
         "make_driving",
         [
             lambda: DrivingFunction.constant(0.0, 1.0),
-            lambda: DrivingFunction.from_samples([0.0, 1.0], [0.3, 0.5], mode="linear"),
+            lambda: DrivingFunction(((0.0, 0.3), (1.0, 0.5)), "linear", n_sub=256),
         ],
     )
     def test_cross_solver_consistency(self, make_driving, rng):
@@ -385,7 +458,7 @@ class TestDiskOde:
                   0.6 + 0.1j, -0.6 + 0.3j, 0.1 - 0.5j, 0.35 - 0.35j, 0.2 + 0.6j]
         for z0 in probes:
             disk = solve_disk_ode(field, z0, 0.0, 1.0)
-            hp = solve_phi(d, 0.0, 1.0, [cayley(z0)], n_sub=256)[0]
+            hp = solve_phi(d, 0.0, 1.0, [cayley(z0)])[0]
             assert abs(disk - cayley_inverse(hp)) < 1e-6
 
 

@@ -29,6 +29,14 @@ def points_csv(tmp_path):
 EVOLVE = ["evolve", "--from", "0", "--to", "1", "--points", "p.csv", "--out", "o.csv"]
 
 
+def evolve_over_0_1(tmp_path, driving, points, *flags):
+    """Exit code and output path of ``evolve`` from 0 to 1."""
+    out = tmp_path / "o.csv"
+    code = main(["evolve", "--driving", driving, "--from", "0", "--to", "1",
+                 "--points", points, "--out", str(out), *flags])
+    return code, out
+
+
 class TestOptions:
     @pytest.mark.parametrize("argv", [
         EVOLVE + ["--seed", "1"],
@@ -70,6 +78,32 @@ class TestParseDriving:
         path = write(tmp_path / "d.csv", "t,lambda\n")
         with pytest.raises(EmptyFile):
             parse_driving_csv(path)
+
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "nan,1", "inf,1"])
+    def test_non_finite_driving_exit_2(self, tmp_path, points_csv, capsys, row):
+        path = write(tmp_path / "d.csv", f"t,lambda\n0,0\n{row}\n1,0\n")
+        code, _ = evolve_over_0_1(tmp_path, path, points_csv)
+        assert code == 2
+        assert "d.csv:3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interp", ["const", "linear"])
+    def test_nsub_below_one_exit_2(self, tmp_path, points_csv, capsys, interp):
+        path = write(tmp_path / "d.csv", "t,lambda\n0,0\n1,1\n")
+        code, out = evolve_over_0_1(tmp_path, path, points_csv, "--interp", interp, "--nsub", "0")
+        assert code == 2
+        assert "n_sub" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "0.5"])
+    def test_bad_horizon_exit_2(self, tmp_path, points_csv, capsys, horizon):
+        path = write(tmp_path / "d.csv", "t,lambda\n0,0\n1,1\n")
+        code, _ = evolve_over_0_1(tmp_path, path, points_csv, "--horizon", horizon)
+        assert code == 2
+        assert "d.csv: horizon" in capsys.readouterr().err
+
+    def test_nsub_sets_the_driving_partition(self, tmp_path):
+        path = write(tmp_path / "d.csv", "t,lambda\n0,0\n1,1\n")
+        assert parse_driving_csv(path, "linear", n_sub=5).segments(0.0, 1.0).shape == (5, 3)
 
 
 class TestEvolve:
@@ -163,6 +197,14 @@ class TestTraceExtractRoundTrip:
         a = np.loadtxt(str(trace_out), delimiter=",", skiprows=1)[:991]
         b = np.loadtxt(str(trace2), delimiter=",", skiprows=1)
         assert np.max(np.abs(a - b)) < 5e-3
+
+    @pytest.mark.parametrize("row", ["0.5,nan,1", "0.5,0,inf"])
+    def test_non_finite_trace_exit_2(self, tmp_path, capsys, row):
+        trace = write(tmp_path / "t.csv", f"t,re,im\n0,0,0\n{row}\n")
+        out = tmp_path / "rec.csv"
+        assert main(["extract", "--trace", trace, "--out", str(out)]) == 2
+        assert "t.csv:3:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_monotone_violation_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.csv", "t,lambda\n0,0\n1,1\n0.5,0\n")
@@ -271,6 +313,20 @@ class TestChain:
         rep = json.loads(out.read_text())
         assert rep["kind"] == "slit_half_plane"
         assert rep["admissibility_probe"]["all_finite"]
+
+    def test_overflowing_norms_written_as_null(self, tmp_path):
+        # at order 1000 the level sums q**d overflow; the report stays strict
+        # JSON with null for the non-finite values, and the command exits 0
+        out = tmp_path / "chain.json"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main([
+                "chain", "--family", "scaled-disks", "--gamma", "cantor",
+                "--grid", "0:1:9", "--order", "1000", "--out", str(out),
+            ])
+        assert code == 0
+        adm = json.loads(out.read_text())["report"]["diagnostics"]["admissibility"]
+        assert adm["norm_ratio"] is None
+        assert adm["diagnostics"]["norms"] == [None, None]
 
     def test_unknown_gamma_name_exit_2(self, tmp_path):
         assert main([

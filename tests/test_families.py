@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -43,7 +44,7 @@ class TestFamilyHandle:
             FamilyHandle(lambda s, t: Affine(0.9, 0.0, Domain.DISK, Domain.DISK), Domain.DISK)
 
     def test_side_conversions(self, rng):
-        fam = chordal_family(DrivingFunction.constant(0.0, 1.0), side="half_plane")
+        fam = chordal_family(DrivingFunction.constant(0.0, 1.0)).half_plane_side()
         disk = fam.disk_side()
         assert disk.domain is Domain.DISK
         assert disk.fixed_point == 1.0 + 0.0j
@@ -254,6 +255,20 @@ class TestGoryainovBa:
         )
         rep = goryainov_ba_check(fam, t_max=1.0)
         assert not any(rep.p0_flags)
+
+    def test_report_is_strict_json(self):
+        # outside the hydrodynamic class the v table is NaN and the margin -inf
+        rep = goryainov_ba_check(translation_family())
+        out = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
+        assert out["worst_bound_margin"] is None and not out["worst_bound_margin_finite"]
+        assert out["v_table"][1][1] is None and not out["v_table_finite"]
+        assert out["v_table"][0] == [0.0, 0.0]
+
+    def test_finite_report_flags(self):
+        fam = chordal_family(DrivingFunction.constant(0.25, 1.2))
+        out = goryainov_ba_check(fam, t_max=1.2).to_dict()
+        assert out["worst_bound_margin_finite"] and out["v_table_finite"]
+        assert out["worst_bound_margin"] > 0.0
 
     def test_quadratic_clock(self):
         # driving clock v(t) = t^2: the bound uses v differences

@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 _SWALLOW_TOL = 1e-9
+# reparametrize: slack on the profile's range, and the largest flat rise
+_RANGE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,14 +169,18 @@ def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
             raise OracleFailure(f"basepoint {w} is not in the half-plane")
         if t >= horizon:
             return 2.0 * w.imag
-        u = hull_uniformizer(driving, t)
-        val = complex(u.evaluate(w))
+        # value and derivative from one walk of the run, at a 0-d point as
+        # in evaluate; at the slit tip a step divides by a zero root, and
+        # the value check rejects that point before the derivative is read
+        z = np.asarray(w, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val, der = hull_uniformizer(driving, t)._eval_deriv(z, np.ones_like(z))
+        val = complex(val)
         if val.imag <= _SWALLOW_TOL:
             raise OracleFailure(
                 f"basepoint {w} swallowed by the remaining hull at t = {t}"
             )
-        der = complex(u.derivative(w))
-        return 2.0 * val.imag / abs(der)
+        return 2.0 * val.imag / abs(complex(der))
 
     def contains(t: float, w: complex) -> bool:
         if w.imag <= 0:
@@ -199,15 +205,15 @@ def spiral_curve(tau: float) -> complex:
     return cmath.exp(1j * tau) * (1.0 - 1.0 / (tau + 2.0))
 
 
-def spiral_cut_disk(tau_max: float = 50.0, spacing: float = 5e-4) -> DomainFamily:
+def spiral_cut_disk(tau_max: float = 50.0) -> DomainFamily:
     """Disk minus the spiral tail C([t, infinity)), truncated at tau_max.
 
-    Demo-grade family: membership probes test distance to the sampled
-    curve (sampled finer than the 1e-3 hit threshold); there is no radius
+    Demo-grade family: membership probes test distance to the curve sampled
+    every 5e-4 in tau (finer than the 1e-3 hit threshold); there is no radius
     oracle (uniformizing these domains is out of scope), so radius queries
     raise :class:`OracleFailure`.
     """
-    n = max(int(tau_max / spacing), 256)
+    n = max(int(tau_max / 5e-4), 256)
     taus = np.linspace(0.0, tau_max, n)
     pts = np.array([spiral_curve(t) for t in taus])
 
@@ -229,7 +235,7 @@ def spiral_cut_disk(tau_max: float = 50.0, spacing: float = 5e-4) -> DomainFamil
     )
 
 
-def cantor_function(x: float, depth: int = 40) -> float:
+def cantor_function(x: float) -> float:
     """Cantor staircase on [0, 1], exact ternary digits via rationals.
 
     Depth 40 resolves the value to 2^-40 < 1e-12; exact Fraction
@@ -242,7 +248,7 @@ def cantor_function(x: float, depth: int = 40) -> float:
     frac = Fraction(x)
     value = 0.0
     scale = 1.0
-    for _ in range(depth):
+    for _ in range(40):
         frac *= 3
         digit = int(frac)
         frac -= digit
@@ -387,13 +393,13 @@ def reparametrize(
     profile: RadiusProfile,
     g: Callable[[float], float],
     t_grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-9,
 ) -> TimeMap:
     """Time change h(t) = inf{theta >= 0 : mu(theta) = g(t)}.
 
     ``g`` must be continuous, nondecreasing, and take values inside the
-    range of the sampled profile (otherwise :class:`RangeMismatch`).  On
-    flat stretches of mu the infimum convention picks the earliest time.
+    range of the sampled profile, up to ``_RANGE_TOL`` (otherwise
+    :class:`RangeMismatch`).  On flat stretches of mu (rises of at most
+    ``_RANGE_TOL``) the infimum convention picks the earliest time.
     """
     thetas = profile.t_grid
     mus = profile.values
@@ -408,7 +414,7 @@ def reparametrize(
         if v < prev - 1e-12:
             raise InvalidMap("target function must be nondecreasing")
         prev = v
-        if v < lo - tol or v > hi + tol:
+        if v < lo - _RANGE_TOL or v > hi + _RANGE_TOL:
             raise RangeMismatch(
                 f"target value g({t}) = {v} outside profile range [{lo}, {hi}]"
             )
@@ -416,7 +422,7 @@ def reparametrize(
         idx = int(np.searchsorted(mus, v, side="left"))
         if idx == 0:
             h = float(thetas[0])
-        elif mus[idx] - mus[idx - 1] > tol:
+        elif mus[idx] - mus[idx - 1] > _RANGE_TOL:
             w = (v - mus[idx - 1]) / (mus[idx] - mus[idx - 1])
             h = float((1.0 - w) * thetas[idx - 1] + w * thetas[idx])
         else:
@@ -444,20 +450,18 @@ class AdmissibilityProbe:
         }
 
 
-def chordal_admissibility_probe(
-    fam: DomainFamily, t_grid: Optional[Sequence[float]] = None
-) -> AdmissibilityProbe:
+def chordal_admissibility_probe(fam: DomainFamily) -> AdmissibilityProbe:
     """Regular-contact probe for solver-backed slit families.
 
-    For sampled times the Cayley conjugate of the transition map must have
-    a finite boundary derivative at the fixed point 1 (here it equals 1,
-    the parabolic case).  Only meaningful for ``slit_half_plane`` families.
+    At four times from 0.25 to the horizon the Cayley conjugate of the
+    transition map must have a finite boundary derivative at the fixed
+    point 1 (here it equals 1, the parabolic case).  Only meaningful for
+    ``slit_half_plane`` families.
     """
     if fam.kind != "slit_half_plane":
         raise InvalidMap("admissibility probe needs a slit_half_plane family")
     driving = fam.params["driving"]
-    if t_grid is None:
-        t_grid = np.linspace(0.25, driving.horizon, 4)
+    t_grid = np.linspace(0.25, driving.horizon, 4)
     derivs = []
     ok = True
     for t in t_grid:

@@ -84,13 +84,12 @@ def solve_phi(
     s: float,
     t: float,
     points: Sequence[complex],
-    *, collision_tol: float = COLLISION_TOL,
 ) -> np.ndarray:
     """Transition map of the erasing flow applied to interior points.
 
     Composes exact elementary steps over the driving term's steps
     (:meth:`DrivingFunction.segments`).  A point whose trajectory approaches
-    the driving value within ``collision_tol`` is reported as swallowed via
+    the driving value within ``COLLISION_TOL`` is reported as swallowed via
     :class:`StepCollision`, never clamped.
     """
     w = np.asarray(points, dtype=complex)
@@ -100,7 +99,7 @@ def solve_phi(
         raise InvalidMap("solve_phi needs points with Im z > 0")
     for t0, t1, lam in driving.segments(s, t).tolist():
         w = erase_many(w, lam, t1 - t0)
-        hit = np.abs(w - lam) < collision_tol
+        hit = np.abs(w - lam) < COLLISION_TOL
         if np.any(hit):
             idx = int(np.argmax(hit))
             raise StepCollision(
@@ -145,23 +144,46 @@ def solve_phi_rk(
 ) -> np.ndarray:
     """Adaptive Runge-Kutta cross-check of :func:`solve_phi`.
 
-    Integrates dw/dt = 1/(lambda(t) - w) with the driving term evaluated
-    directly (knot intervals are integrated one at a time so the right-hand
-    side stays smooth).
+    Integrates dw/dt = 1/(lambda(t) - w) one knot interval at a time, each
+    with its own lambda: the knot value in constant mode, the chord to the
+    next knot in linear mode and the held value past the last knot.  So
+    the right-hand side is smooth on every interval, its ends included.
     """
+    if t > s and not (0.0 <= s and t <= driving.horizon + 1e-12):
+        raise InvalidMap(f"need 0 <= s <= t <= horizon, got [{s}, {t}]")
     w = np.asarray(points, dtype=complex)
     scalar = w.ndim == 0
     w = np.atleast_1d(w).copy()
-    cuts = [s] + [tk for tk, _ in driving.knots if s < tk < t] + [t]
+    knots = [(float(tk), float(vk)) for tk, vk in driving.knots]
+    ends = [tk for tk, _ in knots[1:]] + [math.inf]
+    pieces = [
+        (max(s, tk), min(t, end), _piece_driving(knots, k, driving.mode == "linear"))
+        for k, ((tk, _), end) in enumerate(zip(knots, ends))
+        if max(s, tk) < min(t, end)
+    ]
     for i in range(w.size):
         y = complex(w[i])
-        for a, b in zip(cuts, cuts[1:]):
+        for a, b, lam in pieces:
             y = integrate_rk45(
-                lambda tau, v: 1.0 / (driving.value(tau) - v), a, b, y,
-                rtol=rtol, atol=atol,
+                lambda tau, v, lam=lam: 1.0 / (lam(tau) - v), a, b, y, rtol=rtol, atol=atol
             )
         w[i] = y
     return w[0] if scalar else w
+
+
+def _piece_driving(knots, k: int, linear: bool) -> Callable[[float], float]:
+    """lambda on the knot interval starting at knot k, as a scalar function
+    (the formula of :func:`~loewner_kit.driving.knot_lookup`)."""
+    t0, v0 = knots[k]
+    if not linear or k + 1 == len(knots):
+        return lambda tau: v0
+    t1, v1 = knots[k + 1]
+
+    def lam(tau: float) -> float:
+        w = (tau - t0) / (t1 - t0)
+        return (1.0 - w) * v0 + w * v1
+
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +244,7 @@ def trace_from_driving(
     return out
 
 
-def extract_driving(
-    trace: Sequence, root_tol: float = 1e-9, interior_tol: float = 1e-9
-) -> DrivingFunction:
+def extract_driving(trace: Sequence) -> DrivingFunction:
     """Recover a piecewise-constant driving term from a slit polyline.
 
     Vertical-slit unzipping: repeatedly read the current tip z_k, emit
@@ -232,12 +252,12 @@ def extract_driving(
     elementary slit from every remaining point with the normalizing step
     lambda + sqrt((w - lambda)^2 + 2 cap).  Accepts a list of
     :class:`TraceSample` or of complex points, starting at the root on the
-    real axis and staying strictly inside the half-plane afterwards.  The
-    round trip with :func:`trace_from_driving` converges at first order in
-    the number of points.
+    real axis (to 1e-9) and staying strictly inside the half-plane
+    afterwards.  The round trip with :func:`trace_from_driving` converges
+    at first order in the number of points.
 
-    Raises :class:`SelfIntersection` when an erased point drops out of the
-    half-plane, which is how a non-simple input manifests.
+    Raises :class:`SelfIntersection` when an erased point drops below
+    Im = 1e-9, which is how a non-simple input manifests.
     """
     pts = np.asarray(
         [p.tip if isinstance(p, TraceSample) else complex(p) for p in trace],
@@ -245,7 +265,7 @@ def extract_driving(
     )
     if pts.size == 0:
         raise InvalidMap("extract_driving needs at least the root point")
-    if abs(pts[0].imag) > root_tol:
+    if abs(pts[0].imag) > 1e-9:
         raise InvalidMap(f"polyline must start on the real axis, got {pts[0]}")
     if pts.size > 1 and np.any(pts[1:].imag <= 0.0):
         raise InvalidMap("polyline must lie strictly inside the half-plane after the root")
@@ -262,7 +282,7 @@ def extract_driving(
         rest = work[k + 1 :]
         if rest.size:
             rest = grow_many(rest, lam_k, cap_k)
-            if np.any(rest.imag < interior_tol):
+            if np.any(rest.imag < 1e-9):
                 bad = int(np.argmin(rest.imag))
                 raise SelfIntersection(
                     f"point {k + 1 + bad + 1} left the half-plane while unzipping "
@@ -315,12 +335,12 @@ class DiskField:
         return (self.tau - z) * (1.0 - self.tau.conjugate() * z) * self.p(z, t)
 
     @classmethod
-    def from_driving(cls, driving: DrivingFunction, pole_tol: float = 1e-10) -> "DiskField":
+    def from_driving(cls, driving: DrivingFunction) -> "DiskField":
         def p(z: complex, t: float) -> complex:
             lam = driving.value(t)
             u = (lam - 1j) / (lam + 1j)
-            if abs(z - u) < pole_tol:
-                raise PoleProximity(f"field evaluated within {pole_tol} of its pole at {u}")
+            if abs(z - u) < 1e-10:
+                raise PoleProximity(f"field evaluated within 1e-10 of its pole at {u}")
             return (1.0 - u) * (1.0 - z) / (4.0 * (z - u))
 
         return cls(1.0 + 0.0j, p)
@@ -346,9 +366,6 @@ def solve_disk_ode(
     z0: complex,
     s: float,
     t: float,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    edge_tol: float = 1e-12,
 ) -> complex:
     """Integrate dz/dt = G(z, t) on the disk with an invariant guard.
 
@@ -360,10 +377,9 @@ def solve_disk_ode(
         raise InvalidMap("initial point must lie inside the disk")
 
     def guard(tau: float, w: complex) -> None:
-        if abs(w) >= 1.0 - edge_tol:
+        if abs(w) >= 1.0 - 1e-12:
             raise LeftDomain(f"trajectory reached |z| = {abs(w):.15f}", time=tau)
 
     return integrate_rk45(
-        lambda tau, w: field.g(w, tau), float(s), float(t), complex(z0),
-        rtol=rtol, atol=atol, guard=guard,
+        lambda tau, w: field.g(w, tau), float(s), float(t), complex(z0), guard=guard
     )

@@ -173,30 +173,34 @@ def richardson(values, ratio: float, order: int = 1, step: int = 1):
     return limit, err
 
 
+# limits at infinity sample iy for y = y_max / AXIS_RATIO^k, k < AXIS_LEVELS,
+# and trust an extrapolated limit to EXTRAPOLATION_TOL
+AXIS_RATIO = 4.0
+AXIS_LEVELS = 4
+EXTRAPOLATION_TOL = 1e-6
+
+
 def _half_plane_side(m: MapEvaluator) -> MapEvaluator:
     return conjugate_by_cayley(m) if m.domain is Domain.DISK else m
 
 
-def angular_derivative_at_infinity(
-    f: MapEvaluator,
-    y_max: float = 1e6,
-    ratio: float = 4.0,
-    levels: int = 4,
-    tol: float = 1e-6,
-    with_error: bool = False,
-):
+def _axis_points(y_max: float) -> np.ndarray:
+    ys = [y_max / AXIS_RATIO ** (AXIS_LEVELS - 1 - j) for j in range(AXIS_LEVELS)]
+    return 1j * np.array(ys)
+
+
+def angular_derivative_at_infinity(f: MapEvaluator, with_error: bool = False):
     """Angular derivative of a half-plane self-map at infinity.
 
-    Samples f(iy)/(iy) on the geometric grid y_max/ratio^k and extrapolates
+    Samples f(iy)/(iy) on the geometric grid 1e6/AXIS_RATIO^k and extrapolates
     the 1/y error series.  Raises :class:`Unstable` when the last two
-    extrapolation levels disagree by more than 10x the requested tolerance.
+    extrapolation levels disagree by more than 10x ``EXTRAPOLATION_TOL``.
     """
     f = _half_plane_side(f)
-    ys = np.array([y_max / ratio ** (levels - 1 - j) for j in range(levels)])
-    z = 1j * ys
+    z = _axis_points(1e6)
     vals = f.evaluate(z) / z
-    limit, err = richardson(vals, ratio, order=1, step=1)
-    if err > 10.0 * tol or abs(limit.imag) > 100.0 * tol:
+    limit, err = richardson(vals, AXIS_RATIO, order=1, step=1)
+    if err > 10.0 * EXTRAPOLATION_TOL or abs(limit.imag) > 100.0 * EXTRAPOLATION_TOL:
         raise Unstable(
             f"angular derivative extrapolants disagree: spread {err:.2e}, "
             f"imaginary part {limit.imag:.2e}"
@@ -205,7 +209,7 @@ def angular_derivative_at_infinity(
     return (value, err) if with_error else value
 
 
-def boundary_derivative(phi: MapEvaluator, tau: complex = 1.0, **kwargs) -> float:
+def boundary_derivative(phi: MapEvaluator, tau: complex = 1.0) -> float:
     """Angular derivative of a disk self-map at its boundary fixed point tau.
 
     Estimated through Cayley conjugation (never by finite differences at the
@@ -218,18 +222,11 @@ def boundary_derivative(phi: MapEvaluator, tau: complex = 1.0, **kwargs) -> floa
         rot = Affine(1.0 / tau, 0.0, Domain.DISK, Domain.DISK)
         rot_inv = Affine(tau, 0.0, Domain.DISK, Domain.DISK)
         phi = compose(rot, phi, rot_inv)
-    a = angular_derivative_at_infinity(conjugate_by_cayley(phi), **kwargs)
+    a = angular_derivative_at_infinity(conjugate_by_cayley(phi))
     return math.inf if a == 0.0 else 1.0 / a
 
 
-def ell(
-    g: MapEvaluator,
-    method: str = "auto",
-    y_max: float = 1e3,
-    ratio: float = 4.0,
-    levels: int = 4,
-    tol: float = 1e-6,
-) -> float:
+def ell(g: MapEvaluator, method: str = "auto", y_max: float = 1e3) -> float:
     """Half-plane capacity ell(G) = lim z (z - G(z)) along the imaginary axis.
 
     Evaluators carrying an exact tail return the tail coefficient directly
@@ -250,16 +247,15 @@ def ell(
     if method == "tail":
         raise InvalidMap("map carries no exact tail")
 
-    ys = np.array([y_max / ratio ** (levels - 1 - j) for j in range(levels)])
-    z = 1j * ys
+    z = _axis_points(y_max)
     prod = z * (z - g.evaluate(z))
     vals = prod.real
     if abs(vals[-1]) > 3.0 * abs(vals[0]) + 1e-6:
         raise Diverging(
             f"z(z - G(z)) grows along the imaginary axis: {vals[0]:.3e} -> {vals[-1]:.3e}"
         )
-    limit, err = richardson(vals, ratio, order=2, step=2)
-    if err > 10.0 * tol:
+    limit, err = richardson(vals, AXIS_RATIO, order=2, step=2)
+    if err > 10.0 * EXTRAPOLATION_TOL:
         raise Unstable(f"capacity extrapolants disagree by {err:.2e}")
     return max(limit.real, 0.0)
 
@@ -278,16 +274,17 @@ class P0Report:
     edge_growth_ratio: float
 
 
-def is_p0(g: MapEvaluator, y_lo: float = 1e-2, y_hi: float = 1e4, n: int = 49) -> P0Report:
+def is_p0(g: MapEvaluator) -> P0Report:
     """Numerical membership proxy for the hydrodynamic class.
 
-    Checks, on a log grid of y, that G(iy) - iy tends to zero and that
-    y (Im G(iy) - y) stays bounded.  A finite grid cannot certify the
+    Checks, on a log grid of 49 values of y in [1e-2, 1e4], that
+    G(iy) - iy tends to zero and that y (Im G(iy) - y) stays bounded.
+    A finite grid cannot certify the
     supremum over all y; inconclusive data lowers the confidence field
     instead of raising.
     """
     g = _half_plane_side(g)
-    ys = np.logspace(math.log10(y_lo), math.log10(y_hi), n)
+    ys = np.logspace(-2.0, 4.0, 49)
     z = 1j * ys
     w = g.evaluate(z)
     d = np.abs(w - z)
@@ -295,7 +292,7 @@ def is_p0(g: MapEvaluator, y_lo: float = 1e-2, y_hi: float = 1e4, n: int = 49) -
     sup_s = float(np.max(s))
 
     # decay of |G(iy) - iy| over the last decade
-    top = ys >= y_hi / 10.0
+    top = ys >= 1e3
     d_top = d[top]
     if d_top[-1] <= 1e-12:
         decay = 0.0
@@ -304,7 +301,7 @@ def is_p0(g: MapEvaluator, y_lo: float = 1e-2, y_hi: float = 1e4, n: int = 49) -
     vanishes = decay <= 0.3 or d_top[-1] <= 1e-12
 
     # boundedness: the edge value of s must not dominate the middle
-    middle = (ys >= y_hi / 100.0) & (ys <= y_hi / 10.0)
+    middle = (ys >= 1e2) & (ys <= 1e3)
     s_mid = float(np.max(np.abs(s[middle]))) if np.any(middle) else 0.0
     growth = float(abs(s[-1]) / max(s_mid, 1e-12))
     bounded = abs(s[-1]) <= 2.0 * s_mid + 1e-9
@@ -316,9 +313,7 @@ def is_p0(g: MapEvaluator, y_lo: float = 1e-2, y_hi: float = 1e4, n: int = 49) -
     return P0Report(member, sup_s, confidence, decay, growth)
 
 
-def class_c_check(
-    phi: MapEvaluator, tol: float = 1e-6
-) -> Tuple[bool, float]:
+def class_c_check(phi: MapEvaluator) -> Tuple[bool, float]:
     """Finite-angular-derivative check at the boundary point 1 of the disk.
 
     Conjugates to the half-plane and estimates the angular derivative c at
@@ -327,9 +322,7 @@ def class_c_check(
     """
     if phi.domain is not Domain.DISK:
         raise InvalidMap("class check expects a disk self-map")
-    a, err = angular_derivative_at_infinity(
-        conjugate_by_cayley(phi), tol=tol, with_error=True
-    )
+    a, err = angular_derivative_at_infinity(conjugate_by_cayley(phi), with_error=True)
     if a <= max(1e-8, 100.0 * err):
         return False, math.inf
     return True, 1.0 / a
@@ -338,15 +331,12 @@ def class_c_check(
 _TILDE_RADII = (1e2, 1e3, 1e4)
 
 
-def class_ctilde_check(
-    phi: MapEvaluator,
-    tol: float = 1e-6,
-    fit_tol: float = 1e-5,
-) -> Tuple[bool, Tuple[complex, complex, complex]]:
+def class_ctilde_check(phi: MapEvaluator) -> Tuple[bool, Tuple[complex, complex, complex]]:
     """Refined contact check: fit a z + b + c/z to the half-plane conjugate.
 
     Least squares over rays in a Stolz cone at |z| in {1e2, 1e3, 1e4};
-    membership needs a > 0, b real (up to tol) and a small fit residual.
+    membership needs a > 0, a and b real (up to ``EXTRAPOLATION_TOL``) and a fit residual
+    of at most 1e-5.
     Raises :class:`FitResidual` when the three-coefficient model misfits
     entirely (the map is not in the asymptotic class).
     """
@@ -368,41 +358,32 @@ def class_ctilde_check(
         )
     member = (
         a.real > 0.0
-        and abs(a.imag) <= tol
-        and abs(b.imag) <= tol
-        and residual <= fit_tol
+        and abs(a.imag) <= EXTRAPOLATION_TOL
+        and abs(b.imag) <= EXTRAPOLATION_TOL
+        and residual <= 1e-5
     )
     return bool(member), (a, b, c)
 
 
-def disk_ell_from_expansion(
-    phi: MapEvaluator,
-    h0: float = 0.1,
-    ratio: float = 2.0,
-    levels: int = 5,
-    tol: float = 1e-4,
-) -> float:
+def disk_ell_from_expansion(phi: MapEvaluator) -> float:
     """Capacity read off the cubic boundary expansion at the disk point 1.
 
-    Samples -4 (phi(z) - z)/(z - 1)^3 along the radius z = 1 - h and
-    extrapolates h -> 0.  Agrees with ell of the Cayley conjugate for maps
-    with a parabolic contact of hydrodynamic type.
+    Samples -4 (phi(z) - z)/(z - 1)^3 along the radius z = 1 - h for
+    h = 0.1 / 2^j, j < 5, and extrapolates h -> 0; extrapolants that
+    disagree by more than 1e-3 raise :class:`Unstable`.  Agrees with ell
+    of the Cayley conjugate for maps with a parabolic contact of
+    hydrodynamic type.
     """
-    hs = np.array([h0 / ratio**j for j in range(levels)])
+    hs = np.array([0.1 / 2.0**j for j in range(5)])
     z = 1.0 - hs
     vals = (phi.evaluate(z) - z) * (-4.0) / (z - 1.0) ** 3
-    limit, err = richardson(vals, ratio, order=1, step=1)
-    if err > 10.0 * tol:
+    limit, err = richardson(vals, 2.0, order=1, step=1)
+    if err > 1e-3:
         raise Unstable(f"boundary-expansion extrapolants disagree by {err:.2e}")
     return limit.real
 
 
-def burns_krantz_check(
-    phi: MapEvaluator,
-    ell_threshold: float = 1e-9,
-    tol: float = 1e-8,
-    grid: int = 100,
-) -> bool:
+def burns_krantz_check(phi: MapEvaluator) -> bool:
     """Rigidity probe: vanishing capacity forces the identity.
 
     When ell(phi) <= 1e-9 the map must be pointwise within 1e-8 of the
@@ -411,15 +392,15 @@ def burns_krantz_check(
     capacity pass through unchecked.
     """
     value = ell(phi)
-    if abs(value) > ell_threshold:
+    if abs(value) > 1e-9:
         return True
     rad = np.sqrt(np.linspace(0.05, 0.9, 10))
     ang = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
-    z = (rad[:, None] * np.exp(1j * ang)[None, :]).ravel()[:grid]
+    z = (rad[:, None] * np.exp(1j * ang)[None, :]).ravel()
     if phi.domain is not Domain.DISK:
         phi = conjugate_by_cayley(phi)
     dev = float(np.max(np.abs(phi.evaluate(z) - z)))
-    if dev > tol:
+    if dev > 1e-8:
         raise RigidityViolation(
             f"capacity {value:.2e} is numerically zero but sup|phi - id| = {dev:.2e}"
         )

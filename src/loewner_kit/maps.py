@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 _DISK_EDGE = 1.0 - 1e-14
+# invert_numeric: Newton stops at |m(z) - w| <= NEWTON_TOL (1 + |w|)
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 100
 
 
 class Domain(str, Enum):
@@ -643,25 +646,19 @@ def conjugate_by_cayley(m: MapEvaluator) -> MapEvaluator:
     return compose(CAYLEY_INV, m, CAYLEY)
 
 
-def invert_numeric(
-    m: MapEvaluator,
-    w: complex,
-    seed: complex,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> complex:
+def invert_numeric(m: MapEvaluator, w: complex, seed: complex) -> complex:
     """Solve m(z) = w by Newton iteration from ``seed``.
 
     Falls back to the exact inverse when the whole tree is invertible in
-    closed form.  Raises :class:`NoConvergence` after ``max_iter`` steps and
-    :class:`DerivativeVanishes` when |m'| < 1e-14 at an iterate.
+    closed form.  Raises :class:`NoConvergence` after ``NEWTON_MAX_ITER``
+    steps and :class:`DerivativeVanishes` when |m'| < 1e-14 at an iterate.
     """
     inv = m.closed_inverse()
     if inv is not None:
         return complex(inv._eval(np.asarray(w, dtype=complex))[()])
     z = complex(seed)
-    target = tol * (1.0 + abs(w))
-    for _ in range(max_iter):
+    target = NEWTON_TOL * (1.0 + abs(w))
+    for _ in range(NEWTON_MAX_ITER):
         arr = np.asarray(z, dtype=complex)
         val = complex(m._eval(arr)[()])
         if abs(val - w) <= target:
@@ -670,7 +667,9 @@ def invert_numeric(
         if abs(der) < 1e-14:
             raise DerivativeVanishes(f"|m'| = {abs(der):.2e} at iterate {z}")
         z = z - (val - w) / der
-    raise NoConvergence(f"Newton did not reach |m(z) - w| <= {target:.2e} in {max_iter} steps")
+    raise NoConvergence(
+        f"Newton did not reach |m(z) - w| <= {target:.2e} in {NEWTON_MAX_ITER} steps"
+    )
 
 
 # ---------------------------------------------------------------------------

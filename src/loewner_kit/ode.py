@@ -24,6 +24,7 @@ _A = (
 )
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+MAX_STEPS = 100_000
 
 
 def integrate_rk45(
@@ -33,14 +34,13 @@ def integrate_rk45(
     y0: complex,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    max_steps: int = 100_000,
     guard: Optional[Callable[[float, complex], None]] = None,
 ) -> complex:
     """Integrate dy/dt = f(t, y) from t0 to t1 (t1 >= t0).
 
     ``guard(t, y)`` runs after every accepted step and may raise to abort
     (used for domain-exit detection).  Raises :class:`NoConvergence` when
-    the step budget is exhausted.
+    the budget of ``MAX_STEPS`` steps is exhausted.
     """
     if t1 <= t0:
         return complex(y0)
@@ -48,7 +48,7 @@ def integrate_rk45(
     y = complex(y0)
     h = (t1 - t0) / 16.0
     h_min = (t1 - t0) * 1e-14
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if t + h > t1:
             h = t1 - t
         k = []

@@ -41,6 +41,7 @@ JUMP_DECAY_THRESHOLD = 0.75
 DEFAULT_GRID = 243
 DEFAULT_REFINE = 9
 CONTINUITY_REFINE = 3
+CONTINUITY_ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ def continuity_proxy(
     t0: float,
     t1: float,
     n: int = DEFAULT_GRID,
-    abs_tol: float = 1e-12,
 ) -> ContinuityVerdict:
     """Continuity of a profile: the largest jump between consecutive samples
     must decay under one grid refinement (or already be negligible)."""
@@ -97,8 +97,8 @@ def continuity_proxy(
     _, mu1 = _sample(fn, t0, t1, CONTINUITY_REFINE * n)
     m0 = float(np.max(np.abs(np.diff(mu0))))
     m1 = float(np.max(np.abs(np.diff(mu1))))
-    scale = max(abs_tol, float(np.max(mu0) - np.min(mu0)))
-    if m0 <= abs_tol + 1e-9 * scale:
+    scale = max(CONTINUITY_ABS_TOL, float(np.max(mu0) - np.min(mu0)))
+    if m0 <= CONTINUITY_ABS_TOL + 1e-9 * scale:
         return ContinuityVerdict(True, m0, m1, 0.0)
     ratio = m1 / m0
     return ContinuityVerdict(ratio <= JUMP_DECAY_THRESHOLD, m0, m1, ratio)

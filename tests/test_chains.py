@@ -12,6 +12,7 @@ from loewner_kit import (
     check_admissible,
     check_inclusion_chain,
     chordal_admissibility_probe,
+    hull_uniformizer,
     radius_profile,
     reparametrize,
     scaled_disks,
@@ -55,6 +56,19 @@ class TestRadiusOracles:
         d = DrivingFunction.constant(0.0, 2.0)
         fam = slit_half_plane(d, basepoint=2j)
         assert abs(fam.radius(1.0) - 2.0) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["const", "linear"])
+    def test_slit_radius_is_one_walk_of_the_uniformizer(self, mode):
+        # value and derivative from one pass equal evaluate and derivative
+        # taken separately, bit for bit
+        ts = np.linspace(0.0, 1.0, 9)
+        d = DrivingFunction.from_samples(ts, np.sin(3.0 * ts), mode)
+        w = 0.2 + 2.5j
+        fam = slit_half_plane(d, basepoint=w)
+        for t in (0.0, 0.3, 0.71):
+            u = hull_uniformizer(d, t)
+            want = 2.0 * complex(u.evaluate(w)).imag / abs(complex(u.derivative(w)))
+            assert fam.radius(t) == want
 
     def test_swallowed_basepoint(self):
         d = DrivingFunction.constant(0.0, 2.0)

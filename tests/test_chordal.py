@@ -129,6 +129,22 @@ class TestSolvePhi:
             b = solve_phi_rk(d, 0.0, d.horizon, z)
             assert np.max(np.abs(a - b)) < 1e-8
 
+    def test_rk_const_mode_matches_exact_steps(self):
+        # each knot interval is integrated with its own constant value, so
+        # RK45 meets the exact steps to its tolerance; reading the next
+        # knot's value at an interval's end left 6.7e-12 here
+        ts = np.linspace(0.0, 1.0, 33)
+        d = DrivingFunction.from_samples(ts, np.sin(3.0 * ts + 0.4), "const")
+        z = np.array([0.05j, -0.7 + 0.2j, 0.5 + 1.0j, 1.5 + 0.02j])
+        rk = solve_phi_rk(d, 0.0, 1.0, z, rtol=1e-13, atol=1e-15)
+        # measured 2.2e-14
+        assert np.max(np.abs(rk - solve_phi(d, 0.0, 1.0, z))) < 2e-13
+
+    def test_rk_rejects_times_past_the_horizon(self):
+        d = DrivingFunction.constant(0.0, 1.0)
+        with pytest.raises(InvalidMap):
+            solve_phi_rk(d, 0.0, 1.5, [1j])
+
     def test_linear_mode_second_order(self):
         d = DrivingFunction.from_samples([0.0, 1.0], [0.0, 1.0], mode="linear")
         z = np.array([2j, 1 + 1j, -1 + 2j])
@@ -251,6 +267,22 @@ def drivings_and_times(draw):
     return d, s, u, t
 
 
+@st.composite
+def const_drivings_and_grids(draw):
+    """A const driving term and a grid from 0 that holds every knot: each
+    piece is cut into 1-8 equal intervals, and a held piece shorter than
+    the shortest knot gap (0.01) is left out."""
+    d = replace(draw(drivings()), mode="const")
+    bounds = [t for t, _ in d.knots]
+    if d.horizon - bounds[-1] >= 0.01:
+        bounds.append(d.horizon)
+    grid = [0.0]
+    for a, b in zip(bounds, bounds[1:]):
+        m = draw(st.integers(1, 8))
+        grid += [a + (b - a) * j / m for j in range(1, m)] + [b]
+    return d, np.array(grid)
+
+
 def cut_at(rows, u):
     """Split the row whose open interval holds u into two with its lambda."""
     inner = np.flatnonzero((rows[:, 0] < u) & (u < rows[:, 1]))
@@ -285,6 +317,36 @@ class TestStepPartition:
     def test_capacity_is_length(self, case):
         d, s, _, t = case
         assert abs(ell(evolution_operator(d, s, t)) - (t - s)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(drivings_and_times())
+    def test_closed_inverse_undoes_the_operator(self, case):
+        d, s, _, t = case
+        z = np.array([0.1j, -1.2 + 0.1j, 2.0 + 1.5j, 0.1 + 3.0j, 0.4 + 0.1j])
+        op = evolution_operator(d, s, t)
+        assert np.max(np.abs(op.closed_inverse().evaluate(op.evaluate(z)) - z)) <= 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(drivings_and_times())
+    def test_imaginary_part_never_decreases(self, case):
+        d, s, u, t = case
+        z = np.array([0.1j, -1.2 + 0.1j, 2.0 + 1.5j, 0.1 + 3.0j, 0.4 + 0.1j])
+        mid, end = solve_phi(d, s, u, z), solve_phi(d, s, t, z)
+        assert np.all(mid.imag >= z.imag * (1.0 - 1e-12))
+        assert np.all(end.imag >= mid.imag * (1.0 - 1e-12))
+
+    @settings(max_examples=200, deadline=None)
+    @given(const_drivings_and_grids())
+    def test_extract_recovers_the_driving_of_a_trace(self, case):
+        # every grow step of the extraction undoes the erase step that
+        # placed the tip, so the round trip is exact up to round-off
+        d, grid = case
+        rec = extract_driving(trace_from_driving(d, grid))
+        times = np.array([tk for tk, _ in rec.knots])
+        values = np.array([vk for _, vk in rec.knots])
+        assert times.size == grid.size - 1
+        assert np.max(np.abs(np.diff(np.append(times, rec.horizon)) - np.diff(grid))) <= 1e-8
+        assert np.max(np.abs(values - d.value(grid[:-1]))) <= 1e-8
 
     def test_partition_shares_ends_and_is_read_only(self):
         d = DrivingFunction(((0.0, 0.0), (0.5, 1.0), (1.0, -1.0)), "linear", 2.0, n_sub=3)
@@ -379,6 +441,31 @@ class TestExtract:
     def test_root_off_axis_rejected(self):
         with pytest.raises(InvalidMap):
             extract_driving([0.5j, 1j])
+
+
+class TestMpmathOracle:
+    """Round-off of a long linear-mode run against the same steps in
+    50-digit arithmetic with the same branch rule."""
+
+    def test_512_steps_near_the_real_axis(self):
+        mp = pytest.importorskip("mpmath")
+        ts = np.linspace(0.0, 1.0, 33)
+        d = DrivingFunction(tuple(zip(ts, np.sin(3.0 * ts))), "linear", 1.0, n_sub=16)
+        op = evolution_operator(d, 0.0, 1.0)
+        steps = d.segments(0.0, 1.0)
+        assert steps.shape[0] == 512
+        z = (np.array([0.0, 0.3, -0.5])[:, None] + 1j * np.array([1e-3, 1e-2, 0.1, 1.0])).ravel()
+        got = op.evaluate(z)
+        worst = 0.0
+        with mp.workdps(50):
+            for zk, gk in zip(z, got):
+                w = mp.mpc(zk.real, zk.imag)
+                for t0, t1, lam in steps.tolist():
+                    root = mp.sqrt((w - lam) ** 2 - 2 * mp.mpf(t1 - t0))
+                    w = lam + (-root if root.imag < 0 else root)
+                worst = max(worst, float(abs(mp.mpc(gk.real, gk.imag) - w) / abs(w)))
+        # measured 2.4e-15 (1.8e-15 on these points)
+        assert worst < 3e-14
 
 
 class TestDiskField:

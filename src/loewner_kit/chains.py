@@ -35,7 +35,7 @@ from .chordal import evolution_operator, hull_uniformizer
 from .classes import class_c_check
 from .driving import knot_lookup, knot_table
 from .errors import InvalidMap, OracleFailure, RangeMismatch
-from .maps import conjugate_by_cayley
+from .maps import conjugate_by_cayley, slit_step_deriv
 from .regularity import (
     AdmissibilityVerdict,
     ContinuityVerdict,
@@ -72,16 +72,17 @@ _RANGE_TOL = 1e-9
 class DomainFamily:
     """Parametric nested family with a conformal-radius oracle.
 
-    ``radius_fn(t, w)`` returns r(Omega_t, w) or raises
-    :class:`OracleFailure`; ``contains_fn(t, w)`` is the membership probe
-    used for nesting checks.  ``probe_points`` are interior points of
-    Omega_0 sampled at construction to verify nesting on a coarse (s, t)
-    grid.
+    ``radius_fn(ts, w)`` takes a 1-d float array of times and returns the
+    array of radii r(Omega_t, w), or raises :class:`OracleFailure` for the
+    first t, in array order, that has none; :meth:`radius` is the one-time
+    call.  ``contains_fn(t, w)`` is the membership probe used for nesting
+    checks.  ``probe_points`` are interior points of Omega_0 sampled at
+    construction to verify nesting on a coarse (s, t) grid.
     """
 
     kind: str
     basepoint: complex
-    radius_fn: Callable[[float, complex], float]
+    radius_fn: Callable[[np.ndarray, complex], np.ndarray]
     contains_fn: Callable[[float, complex], bool]
     probe_points: Tuple[complex, ...] = ()
     probe_times: Tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
@@ -97,7 +98,8 @@ class DomainFamily:
                     )
 
     def radius(self, t: float, w: Optional[complex] = None) -> float:
-        return self.radius_fn(float(t), self.basepoint if w is None else complex(w))
+        w = self.basepoint if w is None else complex(w)
+        return float(self.radius_fn(np.array([float(t)]), w)[0])
 
     def contains(self, t: float, w: complex) -> bool:
         return self.contains_fn(float(t), complex(w))
@@ -115,12 +117,14 @@ def scaled_disks(
 ) -> DomainFamily:
     """Omega_t = gamma(t) * D for a positive nondecreasing gamma."""
 
-    def radius(t: float, w: complex) -> float:
-        r = float(gamma(t))
-        if r <= 0:
-            raise OracleFailure(f"gamma({t}) = {r} is not a positive radius")
-        if abs(w) >= r:
-            raise OracleFailure(f"basepoint {w} outside the disk of radius {r}")
+    def radius(ts: np.ndarray, w: complex) -> np.ndarray:
+        rs = [float(gamma(t)) for t in ts.tolist()]
+        for t, r in zip(ts.tolist(), rs):
+            if r <= 0:
+                raise OracleFailure(f"gamma({t}) = {r} is not a positive radius")
+            if abs(w) >= r:
+                raise OracleFailure(f"basepoint {w} outside the disk of radius {r}")
+        r = np.array(rs)
         return (r * r - abs(w) ** 2) / r
 
     def contains(t: float, w: complex) -> bool:
@@ -137,9 +141,10 @@ def translated_half_planes(c: float = 1.0, basepoint: complex = 1j) -> DomainFam
     if c <= 0:
         raise InvalidMap("half-plane speed must be positive")
 
-    def radius(t: float, w: complex) -> float:
-        d = w.imag + c * t
-        if d <= 0:
+    def radius(ts: np.ndarray, w: complex) -> np.ndarray:
+        d = w.imag + c * ts
+        if np.any(d <= 0):
+            t = ts.tolist()[int(np.argmax(d <= 0))]
             raise OracleFailure(f"basepoint {w} outside the time-{t} half-plane")
         return 2.0 * d
 
@@ -158,29 +163,49 @@ def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
     Omega_t is the upper half-plane minus the still-standing part of the
     curve; the remaining hull has capacity horizon - t, so the radius
     profile is nondecreasing and reaches 2 Im w at t = horizon.  The
-    radius comes from the half-plane uniformizer U (the composition of
-    growing steps over [t, horizon]) as 2 Im U(w) / |U'(w)|.  A basepoint
+    radius comes from the half-plane uniformizer U_t (the composition of
+    growing steps over [t, horizon]) as 2 Im U_t(w) / |U_t'(w)|.  A basepoint
     inside the remaining hull is reported via :class:`OracleFailure`.
+
+    One call walks the basepoint once through the step partition, last
+    step first: for t in step j = [t_j, t_{j+1}),
+    U_t = G_[t, t_{j+1}] o U_{t_{j+1}}, so each t costs one clipped grow
+    step after the state stored at t_{j+1}.  The floats are those of
+    ``hull_uniformizer(driving, t)``'s own walk, bit for bit.
     """
     horizon = driving.horizon
 
-    def radius(t: float, w: complex) -> float:
+    def radius(ts: np.ndarray, w: complex) -> np.ndarray:
         if w.imag <= 0:
             raise OracleFailure(f"basepoint {w} is not in the half-plane")
-        if t >= horizon:
-            return 2.0 * w.imag
-        # value and derivative from one walk of the run, at a 0-d point as
-        # in evaluate; at the slit tip a step divides by a zero root, and
-        # the value check rejects that point before the derivative is read
+        t0s, t1s, lams = driving.segments(0.0, horizon).T.tolist()
+        n = len(lams)
+        rows = np.searchsorted(t1s, ts, side="right").tolist()
+        # after[j] is (U, U') at w over [t_j, horizon]; it starts at a 0-d
+        # point as in evaluate, and each step leaves numpy scalars, as the
+        # run's own walk does.  At the slit tip a step divides by a zero
+        # root, and the value check rejects that point before the
+        # derivative is read.
         z = np.asarray(w, dtype=complex)
+        after = {n: (z, np.ones_like(z))}
+        out = np.empty(len(rows))
         with np.errstate(divide="ignore", invalid="ignore"):
-            val, der = hull_uniformizer(driving, t)._eval_deriv(z, np.ones_like(z))
-        val = complex(val)
-        if val.imag <= _SWALLOW_TOL:
-            raise OracleFailure(
-                f"basepoint {w} swallowed by the remaining hull at t = {t}"
-            )
-        return 2.0 * val.imag / abs(complex(der))
+            for j in range(n - 1, min(rows, default=n), -1):
+                after[j] = slit_step_deriv(*after[j + 1], lams[j], 2.0 * (t1s[j] - t0s[j]))
+            for k, (t, j) in enumerate(zip(ts.tolist(), rows)):
+                if not t >= 0.0:
+                    raise InvalidMap(f"need t >= 0, got t = {t}")
+                if j == n:
+                    out[k] = 2.0 * w.imag
+                    continue
+                val, der = slit_step_deriv(*after[j + 1], lams[j], 2.0 * (t1s[j] - t))
+                val = complex(val)
+                if val.imag <= _SWALLOW_TOL:
+                    raise OracleFailure(
+                        f"basepoint {w} swallowed by the remaining hull at t = {t}"
+                    )
+                out[k] = 2.0 * val.imag / abs(complex(der))
+        return out
 
     def contains(t: float, w: complex) -> bool:
         if w.imag <= 0:
@@ -217,7 +242,7 @@ def spiral_cut_disk(tau_max: float = 50.0) -> DomainFamily:
     taus = np.linspace(0.0, tau_max, n)
     pts = np.array([spiral_curve(t) for t in taus])
 
-    def radius(t: float, w: complex) -> float:
+    def radius(ts: np.ndarray, w: complex) -> np.ndarray:
         raise OracleFailure("spiral-cut domains carry no conformal-radius oracle")
 
     def contains(t: float, w: complex) -> bool:
@@ -306,7 +331,7 @@ class RadiusProfile:
 
     def sampler(self) -> Callable[[np.ndarray], np.ndarray]:
         fam, w = self.family, self.basepoint
-        return lambda ts: np.array([fam.radius(float(t), w) for t in np.atleast_1d(ts)])
+        return lambda ts: fam.radius_fn(np.atleast_1d(np.asarray(ts, dtype=float)), w)
 
 
 def radius_profile(
@@ -314,7 +339,8 @@ def radius_profile(
 ) -> RadiusProfile:
     """Evaluate the family's radius oracle on an increasing time grid."""
     w = fam.basepoint if basepoint is None else complex(basepoint)
-    samples = tuple((float(t), fam.radius(float(t), w)) for t in t_grid)
+    ts = np.asarray(t_grid, dtype=float)
+    samples = tuple(zip(ts.tolist(), fam.radius_fn(ts, w).tolist()))
     return RadiusProfile(samples, w, fam)
 
 

@@ -257,7 +257,9 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
     at first order in the number of points.
 
     Raises :class:`SelfIntersection` when an erased point drops below
-    Im = 1e-9, which is how a non-simple input manifests.
+    Im = 1e-9, which is how a non-simple input manifests, and
+    :class:`InvalidMap` for two equal consecutive points (a trace sampled
+    finer than float resolution), which no curve step separates.
     """
     pts = np.asarray(
         [p.tip if isinstance(p, TraceSample) else complex(p) for p in trace],
@@ -269,6 +271,13 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
         raise InvalidMap(f"polyline must start on the real axis, got {pts[0]}")
     if pts.size > 1 and np.any(pts[1:].imag <= 0.0):
         raise InvalidMap("polyline must lie strictly inside the half-plane after the root")
+    same = np.flatnonzero(pts[1:] == pts[:-1])
+    if same.size:
+        k = int(same[0])
+        raise InvalidMap(
+            f"points {k} and {k + 1} are both {pts[k]}: the grid is finer than "
+            f"float resolution, so no curve step lies between them"
+        )
 
     lams: List[float] = []
     caps: List[float] = []

@@ -53,6 +53,7 @@ __all__ = [
     "CAYLEY_INV",
     "sqrt_upper",
     "slit_root",
+    "slit_step_deriv",
     "cayley",
     "cayley_inverse",
     "pseudo_hyperbolic",
@@ -90,6 +91,14 @@ def slit_root(u, c):
     """The kernel of every slit step: ``sqrt_upper(u^2 + c)`` with u = w - lam,
     c = -2 cap (erase) or +2 cap (grow); the step is w -> lam + root."""
     return sqrt_upper(u * u + c)
+
+
+def slit_step_deriv(z, d, lam, c):
+    """One slit step w -> lam + slit_root(w - lam, c) at z, carrying the
+    derivative d by the chain rule; returns (value, derivative)."""
+    u = z - lam
+    root = slit_root(u, c)
+    return lam + root, d * (u / root)
 
 
 def _as_complex(z):
@@ -430,10 +439,7 @@ class SlitStep(MapEvaluator):
 
     def _eval_deriv(self, z, d):
         for lam, c in self._steps():
-            u = z - lam
-            root = slit_root(u, c)
-            d = d * (u / root)
-            z = lam + root
+            z, d = slit_step_deriv(z, d, lam, c)
         return z, d
 
     def closed_inverse(self):

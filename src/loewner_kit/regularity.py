@@ -112,8 +112,13 @@ def _level_stats(ts: np.ndarray, mu: np.ndarray, d: float):
         norm = float(np.max(q))
         contribution = norm
     else:
-        powers = q**d * dt
-        norm = float(np.sum(powers)) ** (1.0 / d)
+        with np.errstate(over="ignore"):
+            powers = q**d * dt
+            norm = float(np.sum(powers)) ** (1.0 / d)
+        if math.isinf(norm):
+            # q**d overflowed: factor the largest quotient out of the sum
+            top = float(np.max(q))
+            norm = top * float(np.sum((q / top) ** d * dt)) ** (1.0 / d)
         contribution = float(np.max(powers))
     total = float(np.sum(np.abs(dmu)))
     if total <= 0.0:
@@ -124,6 +129,14 @@ def _level_stats(ts: np.ndarray, mu: np.ndarray, d: float):
         k = int(np.searchsorted(csum, 0.5 * total) + 1)
         support = k / len(dmu)
     return norm, contribution, support
+
+
+def _log_contribution(ts: np.ndarray, mu: np.ndarray, d: float) -> float:
+    """log of the largest contribution |dmu|^d dt^(1 - d), which stays finite
+    when the contribution itself overflows."""
+    dt = np.diff(ts)
+    with np.errstate(divide="ignore"):
+        return float(np.max(d * np.log(np.abs(np.diff(mu)) / dt) + np.log(dt)))
 
 
 def ac_proxy(
@@ -148,7 +161,13 @@ def ac_proxy(
 
     flat = norm0 <= 1e-12
     norm_ratio = 1.0 if flat else norm1 / max(norm0, 1e-300)
-    contribution_ratio = 1.0 if contrib0 <= 1e-300 else contrib1 / contrib0
+    if math.isinf(contrib0) or math.isinf(contrib1):
+        # the ratio of two overflowed contributions, from their logarithms;
+        # +inf when the ratio itself is past the float range
+        log_ratio = _log_contribution(ts1, mu1, d) - _log_contribution(ts0, mu0, d)
+        contribution_ratio = math.exp(log_ratio) if log_ratio < 709.0 else math.inf
+    else:
+        contribution_ratio = 1.0 if contrib0 <= 1e-300 else contrib1 / contrib0
     support_ratio = support1 / max(support0, 1e-300)
 
     growth_fail = (not flat) and norm_ratio > GROWTH_THRESHOLD

@@ -1,8 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewner_kit import (
     DrivingFunction,
@@ -12,6 +15,7 @@ from loewner_kit import (
     check_admissible,
     check_inclusion_chain,
     chordal_admissibility_probe,
+    evolution_operator,
     hull_uniformizer,
     radius_profile,
     reparametrize,
@@ -21,7 +25,9 @@ from loewner_kit import (
     spiral_cut_disk,
     translated_half_planes,
 )
+from loewner_kit import maps
 from loewner_kit.errors import InvalidMap, OracleFailure, RangeMismatch
+from test_chordal import drivings
 
 
 class TestRadiusOracles:
@@ -87,6 +93,77 @@ class TestRadiusOracles:
         for fam in fams:
             prof = radius_profile(fam, grids)
             assert np.all(np.diff(prof.values) >= -1e-12)
+
+
+def walked_radius(d, t, w):
+    """2 Im U_t(w) / |U_t'(w)| from ``hull_uniformizer(d, t)``, built and
+    walked for this t alone; None where the basepoint is swallowed."""
+    if t >= d.horizon:
+        return 2.0 * w.imag
+    u = hull_uniformizer(d, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val, der = complex(u.evaluate(w)), complex(u.derivative(w))
+    return None if val.imag <= 1e-9 else 2.0 * val.imag / abs(der)
+
+
+@st.composite
+def slit_families_and_times(draw):
+    """A slit family over a const or linear driving term, with a basepoint
+    in the open half-plane or on the hull left at a drawn time, and sample
+    times in [0, horizon] that may repeat and hit 0, knots and the horizon."""
+    d = draw(drivings())
+    marks = [0.0, d.horizon] + [t for t, _ in d.knots]
+    if draw(st.booleans()):
+        w = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 3.0)))
+    else:
+        s = draw(st.one_of(st.floats(0.0, d.horizon), st.sampled_from(marks)))
+        segs = d.segments(s, d.horizon)
+        w = 2j if not len(segs) else complex(
+            evolution_operator(d, s, d.horizon).evaluate(segs[0, 2] + 1e-300j)
+        )
+    times = st.one_of(st.floats(0.0, d.horizon), st.sampled_from(marks))
+    ts = np.array(draw(st.lists(times, min_size=1, max_size=12)))
+    return slit_half_plane(d, basepoint=w), w, ts
+
+
+class TestRadiusSweep:
+    """One backward sweep gives every radius the per-sample walks give."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(slit_families_and_times())
+    def test_sweep_is_the_per_sample_walk(self, case):
+        fam, w, ts = case
+        d = fam.params["driving"]
+        want = [walked_radius(d, t, w) for t in ts.tolist()]
+        if None in want:
+            first = ts.tolist()[want.index(None)]
+            with pytest.raises(OracleFailure, match=re.escape(f"at t = {first}") + "$"):
+                fam.radius_fn(ts, w)
+            return
+        assert fam.radius_fn(ts, w).tolist() == want
+        grid = np.unique(ts)
+        if all(r > 0.0 for r in want):
+            assert radius_profile(fam, grid).values.tolist() == [
+                walked_radius(d, t, w) for t in grid.tolist()
+            ]
+
+    def test_chain_report_walks_each_grid_once(self, monkeypatch):
+        # a chain report on the 33-knot slit family and a 40-point grid asks
+        # for 2,798 radii on five grids; one walk of the 32 grow steps per
+        # grid plus one clipped step per sample, where a rebuild of the
+        # uniformizer for every sample takes about 46k slit roots
+        ts = np.linspace(0.0, 1.0, 33)
+        fam = slit_half_plane(DrivingFunction.from_samples(ts, np.sin(3.0 * ts), "const"), 2j)
+        root, calls = maps.slit_root, []
+
+        def counted(u, c):
+            calls.append(1)
+            return root(u, c)
+
+        monkeypatch.setattr(maps, "slit_root", counted)
+        chain_report(radius_profile(fam, np.linspace(0.05, 1.0, 40)), math.inf)
+        walks, steps, samples = 5, 32, 40 + 82 + 244 + 244 + 2188
+        assert len(calls) <= 1.05 * (walks * steps + samples)
 
 
 class TestContinuityProxy:

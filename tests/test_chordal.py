@@ -438,6 +438,14 @@ class TestExtract:
         with pytest.raises(SelfIntersection):
             extract_driving([0.0 + 0.0j, 1j, 0.5j])
 
+    def test_equal_consecutive_points_blame_float_resolution(self):
+        # the last step is one ulp of capacity, so the last two tips round
+        # to the same float; that is the grid, not a non-simple curve
+        d = DrivingFunction(((0.0, 0.0), (0.5, 0.0), (1.0, 0.0)), "const", 1.0000000000000002)
+        tr = trace_from_driving(d, [0.0, 0.5, 1.0, 1.0000000000000002])
+        with pytest.raises(InvalidMap, match="points 2 and 3 .* finer than float resolution"):
+            extract_driving(tr)
+
     def test_root_off_axis_rejected(self):
         with pytest.raises(InvalidMap):
             extract_driving([0.5j, 1j])

@@ -57,7 +57,6 @@ from .chordal import (
     DiskField,
     TraceSample,
     disk_field_eval,
-    elementary_step,
     evolution_operator,
     extract_driving,
     hull_uniformizer,

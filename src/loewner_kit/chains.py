@@ -31,11 +31,11 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chordal import evolution_operator, hull_uniformizer
+from .chordal import evolution_operator
 from .classes import class_c_check
 from .driving import knot_lookup, knot_table
 from .errors import InvalidMap, OracleFailure, RangeMismatch
-from .maps import conjugate_by_cayley, slit_step_deriv
+from .maps import conjugate_by_cayley, slit_walk
 from .regularity import (
     AdmissibilityVerdict,
     ContinuityVerdict,
@@ -74,24 +74,27 @@ class DomainFamily:
 
     ``radius_fn(ts, w)`` takes a 1-d float array of times and returns the
     array of radii r(Omega_t, w), or raises :class:`OracleFailure` for the
-    first t, in array order, that has none; :meth:`radius` is the one-time
-    call.  ``contains_fn(t, w)`` is the membership probe used for nesting
-    checks.  ``probe_points`` are interior points of Omega_0 sampled at
-    construction to verify nesting on a coarse (s, t) grid.
+    first t, in array order, that has none.  ``contains_fn(ts, w)``, the
+    membership probe, returns the bool array of "w in Omega_t" for the same
+    times.  :meth:`radius` and :meth:`contains` are the one-time calls.
+    ``probe_points`` are interior points of Omega_0 sampled at construction
+    to verify nesting on a coarse (s, t) grid, one call per point.
     """
 
     kind: str
     basepoint: complex
     radius_fn: Callable[[np.ndarray, complex], np.ndarray]
-    contains_fn: Callable[[float, complex], bool]
+    contains_fn: Callable[[np.ndarray, complex], np.ndarray]
     probe_points: Tuple[complex, ...] = ()
     probe_times: Tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        times = np.array(self.probe_times, dtype=float)
         for w in self.probe_points:
-            for s, t in zip(self.probe_times, self.probe_times[1:]):
-                if self.contains_fn(s, w) and not self.contains_fn(t, w):
+            inside = self.contains_fn(times, w).tolist()
+            for s, t, a, b in zip(self.probe_times, self.probe_times[1:], inside, inside[1:]):
+                if a and not b:
                     raise InvalidMap(
                         f"nesting probe failed: {w} lies in the time-{s} domain "
                         f"but not in the time-{t} domain"
@@ -102,7 +105,7 @@ class DomainFamily:
         return float(self.radius_fn(np.array([float(t)]), w)[0])
 
     def contains(self, t: float, w: complex) -> bool:
-        return self.contains_fn(float(t), complex(w))
+        return bool(self.contains_fn(np.array([float(t)]), complex(w))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +130,8 @@ def scaled_disks(
         r = np.array(rs)
         return (r * r - abs(w) ** 2) / r
 
-    def contains(t: float, w: complex) -> bool:
-        return abs(w) < float(gamma(t))
+    def contains(ts: np.ndarray, w: complex) -> np.ndarray:
+        return np.array([abs(w) < float(gamma(t)) for t in ts.tolist()], dtype=bool)
 
     probes = tuple(0.5 * float(gamma(0.0)) * z for z in (1.0, -0.5 + 0.3j, 0.2j))
     return DomainFamily(
@@ -148,8 +151,8 @@ def translated_half_planes(c: float = 1.0, basepoint: complex = 1j) -> DomainFam
             raise OracleFailure(f"basepoint {w} outside the time-{t} half-plane")
         return 2.0 * d
 
-    def contains(t: float, w: complex) -> bool:
-        return w.imag > -c * t
+    def contains(ts: np.ndarray, w: complex) -> np.ndarray:
+        return w.imag > -c * ts
 
     return DomainFamily(
         "translated_half_planes", basepoint, radius, contains,
@@ -167,52 +170,59 @@ def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
     growing steps over [t, horizon]) as 2 Im U_t(w) / |U_t'(w)|.  A basepoint
     inside the remaining hull is reported via :class:`OracleFailure`.
 
-    One call walks the basepoint once through the step partition, last
-    step first: for t in step j = [t_j, t_{j+1}),
-    U_t = G_[t, t_{j+1}] o U_{t_{j+1}}, so each t costs one clipped grow
-    step after the state stored at t_{j+1}.  The floats are those of
+    Both oracles walk w once through the step partition, last step first:
+    for t in step j = [t_j, t_{j+1}), U_t = G_[t, t_{j+1}] o U_{t_{j+1}},
+    so each t costs one clipped grow step after the state stored at
+    t_{j+1}.  Membership is Im U_t(w) > _SWALLOW_TOL on the radius's walk
+    without the derivative.  The floats are those of
     ``hull_uniformizer(driving, t)``'s own walk, bit for bit.
     """
     horizon = driving.horizon
+    t0s, t1s, lams = driving.segments(0.0, horizon).T.tolist()
+    cs = [2.0 * (t1 - t0) for t0, t1 in zip(t0s, t1s)]
+    n = len(lams)
+
+    def walk(ts: np.ndarray, z, d) -> list:
+        """(U_t, d U_t') at the 0-d point z for each t; None for t >= horizon."""
+        if not np.all(ts >= 0.0):
+            raise InvalidMap(f"need t >= 0, got t = {ts[~(ts >= 0.0)][0]}")
+        rows = np.searchsorted(t1s, ts, side="right").tolist()
+        # after[n - 1 - j]: the state over [t_{j+1}, horizon]; each step
+        # leaves numpy scalars, as the run's own walk does
+        after = [(z, d)]
+        first = min(rows, default=n)
+        slit_walk(z, d, lams[:first:-1], cs[:first:-1], lambda _, *state: after.append(state))
+        return [
+            None if j == n
+            else slit_walk(*after[n - 1 - j], (lams[j],), (2.0 * (t1s[j] - t),), None)
+            for t, j in zip(ts.tolist(), rows)
+        ]
 
     def radius(ts: np.ndarray, w: complex) -> np.ndarray:
         if w.imag <= 0:
             raise OracleFailure(f"basepoint {w} is not in the half-plane")
-        t0s, t1s, lams = driving.segments(0.0, horizon).T.tolist()
-        n = len(lams)
-        rows = np.searchsorted(t1s, ts, side="right").tolist()
-        # after[j] is (U, U') at w over [t_j, horizon]; it starts at a 0-d
-        # point as in evaluate, and each step leaves numpy scalars, as the
-        # run's own walk does.  At the slit tip a step divides by a zero
-        # root, and the value check rejects that point before the
-        # derivative is read.
         z = np.asarray(w, dtype=complex)
-        after = {n: (z, np.ones_like(z))}
-        out = np.empty(len(rows))
+        # At the slit tip a step divides by a zero root, and the value check
+        # rejects that point before the derivative is read.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for j in range(n - 1, min(rows, default=n), -1):
-                after[j] = slit_step_deriv(*after[j + 1], lams[j], 2.0 * (t1s[j] - t0s[j]))
-            for k, (t, j) in enumerate(zip(ts.tolist(), rows)):
-                if not t >= 0.0:
-                    raise InvalidMap(f"need t >= 0, got t = {t}")
-                if j == n:
-                    out[k] = 2.0 * w.imag
-                    continue
-                val, der = slit_step_deriv(*after[j + 1], lams[j], 2.0 * (t1s[j] - t))
-                val = complex(val)
-                if val.imag <= _SWALLOW_TOL:
-                    raise OracleFailure(
-                        f"basepoint {w} swallowed by the remaining hull at t = {t}"
-                    )
-                out[k] = 2.0 * val.imag / abs(complex(der))
-        return out
+            states = walk(ts, z, np.ones_like(z))
+        out = []
+        for t, state in zip(ts.tolist(), states):
+            if state is None:
+                out.append(2.0 * w.imag)
+                continue
+            val = complex(state[0])
+            if val.imag <= _SWALLOW_TOL:
+                raise OracleFailure(f"basepoint {w} swallowed by the remaining hull at t = {t}")
+            out.append(2.0 * val.imag / abs(complex(state[1])))
+        return np.array(out)
 
-    def contains(t: float, w: complex) -> bool:
+    def contains(ts: np.ndarray, w: complex) -> np.ndarray:
         if w.imag <= 0:
-            return False
-        if t >= horizon:
-            return True
-        return complex(hull_uniformizer(driving, t).evaluate(w)).imag > _SWALLOW_TOL
+            return np.zeros(len(ts), dtype=bool)
+        states = walk(ts, np.asarray(w, dtype=complex), None)
+        inside = [s is None or complex(s[0]).imag > _SWALLOW_TOL for s in states]
+        return np.array(inside, dtype=bool)
 
     probes = (basepoint + 1j, basepoint + 2.0 + 1j, -1.5 + 0.8j)
     return DomainFamily(
@@ -245,13 +255,12 @@ def spiral_cut_disk(tau_max: float = 50.0) -> DomainFamily:
     def radius(ts: np.ndarray, w: complex) -> np.ndarray:
         raise OracleFailure("spiral-cut domains carry no conformal-radius oracle")
 
-    def contains(t: float, w: complex) -> bool:
+    def contains(ts: np.ndarray, w: complex) -> np.ndarray:
         if abs(w) >= 1.0:
-            return False
-        tail = pts[taus >= t]
-        if tail.size == 0:
-            return True
-        return bool(np.min(np.abs(tail - w)) > 1e-3)
+            return np.zeros(len(ts), dtype=bool)
+        # distance from w to samples k, k+1, ...; the tail from t starts at tau >= t
+        nearest = np.minimum.accumulate(np.abs(pts - w)[::-1])[::-1]
+        return np.append(nearest, np.inf)[np.searchsorted(taus, ts, side="left")] > 1e-3
 
     return DomainFamily(
         "spiral_cut_disk", 0.0 + 0.0j, radius, contains,

@@ -30,13 +30,12 @@ from .errors import (
     SelfIntersection,
     StepCollision,
 )
-from .maps import Domain, Identity, MapEvaluator, SlitStep, slit_root
+from .maps import Domain, Identity, MapEvaluator, SlitStep, slit_walk
 from .ode import integrate_rk45
 
 __all__ = [
     "TraceSample",
     "DiskField",
-    "elementary_step",
     "erase_many",
     "grow_many",
     "solve_phi",
@@ -55,28 +54,13 @@ COLLISION_TOL = 1e-9
 def erase_many(w, lam: float, cap: float):
     """Vectorized erasing step lam + sqrt((w - lam)^2 - 2 cap)."""
     w = np.asarray(w, dtype=complex)
-    return w if cap == 0.0 else lam + slit_root(w - lam, -2.0 * cap)
+    return w if cap == 0.0 else slit_walk(w, None, (lam,), (-2.0 * cap,), None)[0]
 
 
 def grow_many(w, lam: float, cap: float):
     """Vectorized growing step lam + sqrt((w - lam)^2 + 2 cap)."""
     w = np.asarray(w, dtype=complex)
-    return w if cap == 0.0 else lam + slit_root(w - lam, 2.0 * cap)
-
-
-def elementary_step(w, lam: float, cap: float, direction: str = "erase"):
-    """One exact constant-driving step; total on the closed half-plane.
-
-    erase and grow are mutually inverse on the open half-plane; the branch
-    rule (square roots land in the closed upper half-plane) is shared with
-    every other slit operation.
-    """
-    if cap < 0:
-        raise InvalidMap("capacity increment must be nonnegative")
-    if direction not in ("erase", "grow"):
-        raise InvalidMap("direction must be 'erase' or 'grow'")
-    out = (erase_many if direction == "erase" else grow_many)(w, lam, cap)
-    return complex(out[()]) if np.ndim(w) == 0 else out
+    return w if cap == 0.0 else slit_walk(w, None, (lam,), (2.0 * cap,), None)[0]
 
 
 def solve_phi(
@@ -97,16 +81,19 @@ def solve_phi(
     w = np.atleast_1d(w).copy()
     if np.any(w.imag <= 0.0):
         raise InvalidMap("solve_phi needs points with Im z > 0")
-    for t0, t1, lam in driving.segments(s, t).tolist():
-        w = erase_many(w, lam, t1 - t0)
-        hit = np.abs(w - lam) < COLLISION_TOL
+    t0s, t1s, lams = driving.segments(s, t).T.tolist()
+
+    def collide(j, z, _):
+        hit = np.abs(z - lams[j]) < COLLISION_TOL
         if np.any(hit):
             idx = int(np.argmax(hit))
             raise StepCollision(
-                f"point {idx} absorbed by the hull near t = {t1:.6g}",
-                time=t1,
+                f"point {idx} absorbed by the hull near t = {t1s[j]:.6g}",
+                time=t1s[j],
                 index=idx,
             )
+
+    w = slit_walk(w, None, lams, [-2.0 * (t1 - t0) for t0, t1 in zip(t0s, t1s)], collide)[0]
     return w[0] if scalar else w
 
 

@@ -53,7 +53,7 @@ __all__ = [
     "CAYLEY_INV",
     "sqrt_upper",
     "slit_root",
-    "slit_step_deriv",
+    "slit_walk",
     "cayley",
     "cayley_inverse",
     "pseudo_hyperbolic",
@@ -93,12 +93,20 @@ def slit_root(u, c):
     return sqrt_upper(u * u + c)
 
 
-def slit_step_deriv(z, d, lam, c):
-    """One slit step w -> lam + slit_root(w - lam, c) at z, carrying the
-    derivative d by the chain rule; returns (value, derivative)."""
-    u = z - lam
-    root = slit_root(u, c)
-    return lam + root, d * (u / root)
+def slit_walk(z, d, lams, cs, each):
+    """The one loop over slit steps: apply w -> lam + slit_root(w - lam, c)
+    for each (lam, c) of ``lams``, ``cs``, first to last, to the state
+    (z, d) and return it.  The derivative ``d`` (or None) is carried by the
+    chain rule; ``each(j, z, d)``, unless None, runs after step j."""
+    for j, (lam, c) in enumerate(zip(lams, cs)):
+        u = z - lam
+        root = slit_root(u, c)
+        z = lam + root
+        if d is not None:
+            d = d * (u / root)
+        if each is not None:
+            each(j, z, d)
+    return z, d
 
 
 def _as_complex(z):
@@ -425,22 +433,15 @@ class SlitStep(MapEvaluator):
         # summed in step order, as folding the steps' tails one by one does
         return Tail(1.0, 0.0, self._sign * float(np.cumsum(self._caps)[-1]))
 
-    def _steps(self):
-        """(lam, 2 sign cap) of each step as floats, in application order."""
-        return zip(self._lams.tolist(), (2.0 * self._sign * self._caps).tolist())
-
     def _eval(self, z):
-        for lam, c in self._steps():
-            z = lam + slit_root(z - lam, c)
-        return z
+        return self._eval_deriv(z, None)[0]
 
     def _deriv(self, z):
         return self._eval_deriv(z, np.ones_like(z))[1]
 
     def _eval_deriv(self, z, d):
-        for lam, c in self._steps():
-            z, d = slit_step_deriv(z, d, lam, c)
-        return z, d
+        cs = 2.0 * self._sign * self._caps
+        return slit_walk(z, d, self._lams.tolist(), cs.tolist(), None)
 
     def closed_inverse(self):
         flipped = "grow" if self.direction == "erase" else "erase"

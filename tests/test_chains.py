@@ -166,6 +166,56 @@ class TestRadiusSweep:
         assert len(calls) <= 1.05 * (walks * steps + samples)
 
 
+def walked_membership(d, t, w):
+    """Whether w lies in Omega_t, from ``hull_uniformizer(d, t)`` built and
+    walked for this t alone."""
+    return t >= d.horizon or complex(hull_uniformizer(d, t).evaluate(w)).imag > 1e-9
+
+
+class TestMembership:
+    """``contains_fn(ts, w)`` answers every time of an array in one call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(slit_families_and_times())
+    def test_slit_membership_is_the_per_sample_walk(self, case):
+        fam, w, ts = case
+        d = fam.params["driving"]
+        inside = fam.contains_fn(ts, w)
+        assert inside.dtype == bool
+        assert inside.tolist() == [walked_membership(d, t, w) for t in ts.tolist()]
+        assert [fam.contains(t, w) for t in ts.tolist()] == inside.tolist()
+        # membership and radius read the same walk, so they cannot disagree
+        if inside.all():
+            assert np.all(fam.radius_fn(ts, w) > 0.0)
+        else:
+            with pytest.raises(OracleFailure, match="swallowed"):
+                fam.radius_fn(ts, w)
+
+    def test_slit_membership_off_the_half_plane(self):
+        fam = slit_half_plane(DrivingFunction.constant(0.0, 2.0), basepoint=2j)
+        assert fam.contains_fn(np.array([0.0, 1.0, 2.0]), 1.0 + 0j).tolist() == [False] * 3
+        assert fam.contains_fn(np.array([]), 1j).tolist() == []
+
+    def test_cut_disk_membership_over_times(self):
+        fam = spiral_cut_disk(tau_max=20.0)
+        ts = np.array([0.0, 4.0, 5.0, 5.01, 6.0, 20.0, 30.0])
+        assert fam.contains_fn(ts, 0.0 + 0.0j).tolist() == [True] * 7
+        # on the tail until the tail starts past tau = 5
+        assert fam.contains_fn(ts, spiral_curve(5.0)).tolist() == [False] * 3 + [True] * 4
+        assert fam.contains_fn(ts, 1.5 + 0.0j).tolist() == [False] * 7
+        for w in (0.0 + 0.0j, spiral_curve(5.0), 1.5 + 0.0j):
+            assert [fam.contains(t, w) for t in ts.tolist()] == fam.contains_fn(ts, w).tolist()
+
+    def test_scaled_disks_membership_over_times(self):
+        fam = scaled_disks(lambda t: 1.0 + t)
+        ts = np.array([0.0, 0.2, 0.5, 2.0])
+        inside = fam.contains_fn(ts, 1.2 + 0.0j)
+        assert inside.dtype == bool
+        assert inside.tolist() == [False, False, True, True]  # |w| < 1 + t, strictly
+        assert fam.contains_fn(ts, 0.0 + 0.0j).tolist() == [True] * 4
+        assert fam.contains_fn(np.array([]), 0.0 + 0.0j).tolist() == []
+
+
 class TestContinuityProxy:
     def test_smooth_passes(self):
         prof = radius_profile(scaled_disks(lambda t: 1.0 + t), np.linspace(0, 2, 32))

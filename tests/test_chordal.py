@@ -15,7 +15,6 @@ from loewner_kit import (
     cayley_inverse,
     conjugate_by_cayley,
     disk_field_eval,
-    elementary_step,
     ell,
     evolution_operator,
     extract_driving,
@@ -27,6 +26,7 @@ from loewner_kit import (
     solve_phi_rk,
     trace_from_driving,
 )
+from loewner_kit.chordal import erase_many
 from loewner_kit.errors import (
     InvalidMap,
     LeftDomain,
@@ -50,24 +50,24 @@ def random_pc_driving(rng, horizon=None):
 
 class TestElementaryStep:
     def test_erase_example_with_rk_oracle(self):
-        got = elementary_step(1j, 0.0, 0.5, "erase")
+        got = complex(erase_many(1j, 0.0, 0.5))
         assert abs(got - 1j * math.sqrt(2)) < 1e-15
         rk = integrate_rk45(lambda t, w: 1.0 / (0.0 - w), 0.0, 0.5, 1j)
         assert abs(got - rk) < 1e-9
 
     def test_zero_capacity_is_identity(self, rng):
         for z in sample_half_plane(rng, 20):
-            assert elementary_step(z, 0.7, 0.0, "erase") == z
+            assert erase_many(z, 0.7, 0.0) == z
 
     def test_slit_tip_height(self):
         # growing a slit of capacity cap from lambda sends the base point to
         # the tip lambda + i sqrt(2 cap); consistent with the w + cap/w tail
-        tip = elementary_step(0.0 + 0.0j, 0.0, 0.5, "erase")
+        tip = complex(erase_many(0.0 + 0.0j, 0.0, 0.5))
         assert abs(tip - 1j) < 1e-15
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(InvalidMap):
-            elementary_step(1j, 0.0, -0.1, "erase")
+            SlitStep(0.0, -0.1)
 
 
 class TestSolvePhi:
@@ -120,6 +120,19 @@ class TestSolvePhi:
         with pytest.raises(StepCollision) as info:
             solve_phi(d, 0.0, cap, [x + 1e-20j])
         assert info.value.index == 0
+
+    def test_earliest_collision_is_reported(self):
+        # point 0 reaches the driving value at the end of the second step,
+        # points 1 and 2 at the end of the first: the earliest step wins,
+        # then the lowest index hit at that step
+        d = DrivingFunction(((0.0, 0.0), (8.0, 0.0)), "const", 12.5)
+        for pts in ([5 + 1e-20j, 4 + 1e-20j], [5 + 1e-20j, 4 + 1e-20j, 4 + 1e-20j]):
+            with pytest.raises(StepCollision) as info:
+                solve_phi(d, 0.0, 12.5, pts)
+            assert (info.value.index, info.value.time) == (1, 8.0)
+        with pytest.raises(StepCollision) as info:
+            solve_phi(d, 0.0, 12.5, [5 + 1e-20j])
+        assert (info.value.index, info.value.time) == (0, 12.5)
 
     def test_exact_matches_rk_piecewise_constant(self, rng):
         for _ in range(5):
@@ -304,6 +317,23 @@ class TestStepPartition:
         z = np.array([0.3j, -1.2 + 0.5j, 2.0 + 1.5j, 0.1 + 3.0j])
         left = evolution_operator(d, u, t).evaluate(evolution_operator(d, s, u).evaluate(z))
         assert np.max(np.abs(left - evolution_operator(d, s, t).evaluate(z))) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(drivings_and_times())
+    def test_solver_walks_the_operator(self, case):
+        # solve_phi and the operator's evaluation are one walk of one slice
+        d, s, _, t = case
+        z = np.array([0.3j, -1.2 + 0.5j, 2.0 + 1.5j, 0.1 + 3.0j])
+        assert np.array_equal(solve_phi(d, s, t, z), evolution_operator(d, s, t).evaluate(z))
+
+    def test_zero_length_rows_are_walked_like_the_operator(self):
+        # a knot interval of 2e-15 split into 64 steps leaves rows of length
+        # 0, which the solver applies as the operator does
+        d = DrivingFunction(((0.0, 0.0), (1.0, 0.5), (1.0 + 2e-15, 0.7)), "linear", 2.0)
+        rows = d.segments(0.0, 2.0)
+        assert np.any(rows[:, 1] == rows[:, 0])
+        z = sample_half_plane(np.random.default_rng(0), 200)
+        assert np.array_equal(solve_phi(d, 0.0, 2.0, z), evolution_operator(d, 0.0, 2.0).evaluate(z))
 
     @settings(max_examples=200, deadline=None)
     @given(drivings_and_times())

@@ -158,6 +158,20 @@ class TestEvolve:
             assert code == 3
             assert "point 2 absorbed" in capsys.readouterr().err
 
+    def test_threaded_collision_reports_the_earliest_step(self, tmp_path, capsys):
+        # each thread gets one point; point 0 collides at the second step and
+        # point 1 at the first, so point 1 is the one reported
+        driving = write(tmp_path / "d.csv", "t,lambda\n0,0\n8,0\n")
+        pts = write(tmp_path / "p.csv", "re,im\n5,1e-20\n4,1e-20\n")
+        for threads in (1, 2):
+            code = main([
+                "evolve", "--driving", driving, "--horizon", "12.5",
+                "--from", "0", "--to", "12.5", "--points", pts,
+                "--threads", str(threads), "--out", str(tmp_path / "o.csv"),
+            ])
+            assert code == 3
+            assert "point 1 absorbed" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main([
             "evolve", "--driving", str(tmp_path / "nope.csv"), "--from", "0",

@@ -41,6 +41,7 @@ __all__ = [
     "solve_phi",
     "solve_phi_rk",
     "evolution_operator",
+    "evolve_slices",
     "hull_uniformizer",
     "trace_from_driving",
     "extract_driving",
@@ -109,6 +110,47 @@ def evolution_operator(driving: DrivingFunction, s: float, t: float) -> MapEvalu
     if not len(segs):
         return Identity(Domain.HALF_PLANE)
     return SlitStep(segs[:, 2], segs[:, 1] - segs[:, 0], "erase")
+
+
+def evolve_slices(driving: DrivingFunction, s, t, z) -> np.ndarray:
+    """phi_{s_i, t_i}(z_i) for every i of equal-length arrays, in one pass
+    over the driving term's step partition.
+
+    Point i takes the steps of ``driving.segments(s_i, t_i)`` in order.  A
+    window's first and last rows are one-step walks with each point's
+    clipped capacity; between event rows (those and the rows after them)
+    every window covering a stretch walks it as one run.  So the result
+    equals ``evolution_operator(driving, s_i, t_i).evaluate`` of an array
+    bit for bit.  Every window is validated before any walking.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    w = np.array(z, dtype=complex)
+    bad = np.flatnonzero(~((0.0 <= s) & (s <= t) & (t <= driving.horizon + 1e-12)))
+    if bad.size:
+        i = bad[0]
+        raise InvalidMap(f"need 0 <= s <= t <= horizon, got [{float(s[i])}, {float(t[i])}]")
+    steps = driving._steps
+    first = np.searchsorted(steps[:, 1], s, side="right")
+    last = np.searchsorted(steps[:, 0], t, side="left") - 1
+    live = np.flatnonzero((s < t) & (first <= last))
+    a, b = first[live], last[live]
+    lams = steps[:, 2].tolist()
+    cs = (-2.0 * (steps[:, 1] - steps[:, 0])).tolist()
+    # a sorted set, not np.unique: its first call loads a megabyte of numpy
+    marks = sorted({*a.tolist(), *b.tolist(), *(a + 1).tolist(), *(b + 1).tolist()})
+    for j0, j1 in zip(marks, marks[1:]):
+        on = (a <= j0) & (b >= j1 - 1)
+        if not on.any():
+            continue
+        k = live[on]
+        if j1 - j0 > 1:
+            w[k] = slit_walk(w[k], None, lams[j0:j1], cs[j0:j1], None)[0]
+        else:
+            t0 = np.where(a[on] == j0, s[k], steps[j0, 0])
+            t1 = np.where(b[on] == j0, t[k], steps[j0, 1])
+            w[k] = slit_walk(w[k], None, lams[j0:j1], (-2.0 * (t1 - t0),), None)[0]
+    return w
 
 
 def hull_uniformizer(driving: DrivingFunction, t: float) -> MapEvaluator:

@@ -116,7 +116,10 @@ class DrivingFunction:
         n = self.n_sub if linear else 1
         a, b = bounds[:-1, None], bounds[1:, None]
         edges = np.append(a + np.arange(n) * ((b - a) / n), bounds[-1])
-        t0, t1 = edges[:-1], edges[1:]
+        # a piece narrower than the float resolution of its split leaves
+        # rows of length 0; dropping them skips them exactly
+        keep = edges[1:] > edges[:-1]
+        t0, t1 = edges[:-1][keep], edges[1:][keep]
         lam = knot_lookup(self._table, 0.5 * (t0 + t1) if linear else t0, linear)
         steps = np.column_stack((t0, t1, lam))
         steps.flags.writeable = False

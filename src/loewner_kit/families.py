@@ -23,13 +23,14 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .classes import ell, is_p0
-from .driving import knot_lookup, knot_table
+from .driving import DrivingFunction, knot_lookup, knot_table
 from .errors import DomainEscape, InvalidMap, ScheduleInvalid
 from .maps import (
     Affine,
     CAYLEY,
     CAYLEY_INV,
     Domain,
+    Identity,
     MapEvaluator,
     Moebius,
     compose,
@@ -80,18 +81,23 @@ class FamilyHandle:
     """Two-parameter family of self-maps given by ``maker(s, t)``.
 
     The identity axiom is probed at construction: maker(s, s) must be the
-    identity to 1e-12 on a small interior grid.  ``fixed_point`` declares
-    the common boundary fixed point when there is one (checks never search
-    for an undeclared one).
+    identity to 1e-12 on a small interior grid, at three times in [0, 1]
+    and before the horizon of ``driving``.  ``fixed_point`` declares the
+    common boundary fixed point when there is one (checks never search for
+    an undeclared one).  ``driving`` is set by :func:`chordal_family`, whose
+    maps are Cayley conjugates of slices of that driving term's step
+    partition; :meth:`evaluate_many` then walks all its slices in one pass.
     """
 
     maker: Callable[[float, float], MapEvaluator]
     domain: Domain = Domain.DISK
     fixed_point: Optional[complex] = None
+    driving: Optional[DrivingFunction] = None
 
     def __post_init__(self):
         probes = np.asarray(_default_probes(self.domain))
-        for s in (0.0, 0.37, 1.0):
+        t_hi = 1.0 if self.driving is None else min(1.0, self.driving.horizon)
+        for s in (0.0, 0.37 * t_hi, t_hi):
             m = self.maker(s, s)
             res = float(np.max(np.abs(m.evaluate(probes) - probes)))
             if res > 1e-12:
@@ -101,6 +107,32 @@ class FamilyHandle:
 
     def __call__(self, s: float, t: float) -> MapEvaluator:
         return self.maker(s, t)
+
+    def evaluate_many(self, s, t, z) -> np.ndarray:
+        """phi_{s_i, t_i}(z_i) for equal-length 1-d arrays of times and points.
+
+        A chordal family walks every slice in one pass over its driving
+        term's step partition (:func:`~loewner_kit.chordal.evolve_slices`),
+        between the Cayley maps its ``maker`` composes; any other family
+        evaluates ``maker(s, t)`` once per distinct pair.  The values equal
+        those of ``self(s_i, t_i).evaluate`` on arrays, bit for bit.
+        """
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        z = np.asarray(z, dtype=complex)
+        if self.driving is None:
+            out = np.empty_like(z)
+            pairs: dict = {}
+            for i, pair in enumerate(zip(s.tolist(), t.tolist())):
+                pairs.setdefault(pair, []).append(i)
+            for (a, b), idx in pairs.items():
+                out[idx] = self.maker(a, b).evaluate(z[idx])
+            return out
+        from .chordal import evolve_slices
+
+        Identity(self.domain)._check_domain(z)
+        if self.domain is Domain.HALF_PLANE:
+            return evolve_slices(self.driving, s, t, z)
+        return CAYLEY_INV._eval(evolve_slices(self.driving, s, t, CAYLEY._eval(z)))
 
     def disk_side(self) -> "FamilyHandle":
         """Same family conjugated to the disk (no-op when already there).
@@ -119,6 +151,7 @@ class FamilyHandle:
             lambda s, t: conjugate_by_cayley(self.maker(s, t)),
             Domain.DISK,
             fp,
+            self.driving,
         )
 
     def half_plane_side(self) -> "FamilyHandle":
@@ -128,6 +161,7 @@ class FamilyHandle:
             lambda s, t: conjugate_by_cayley(self.maker(s, t)),
             Domain.HALF_PLANE,
             None,
+            self.driving,
         )
 
 
@@ -239,9 +273,13 @@ def verify_ef_axioms(
     """Measure the evolution-family axioms numerically (report only).
 
     The identity and composition residuals are hard numbers, passed against
-    ``EF1_TOL`` and ``EF2_TOL`` on the domain's default probes; the regularity
-    axiom is probed through finite-difference Lipschitz moduli over a time
-    grid and labelled a proxy.
+    ``EF1_TOL`` and ``EF2_TOL`` on the domain's default probes; the identity
+    is probed at times 0, r/2 and r, r the smaller of 1 and the grid's last
+    time.  The regularity axiom is probed through finite-difference
+    Lipschitz moduli over a time grid and labelled a proxy.  The maps are
+    evaluated in two :meth:`FamilyHandle.evaluate_many` calls: every slice
+    that starts from the probes, then the (u, t) slices of the composition
+    law.
     """
     rng = np.random.default_rng(seed)
     z = np.asarray(_default_probes(fam.domain))
@@ -250,22 +288,25 @@ def verify_ef_axioms(
         triples = [tuple(row) for row in pts]
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.5, 16)
+    t_grid = np.asarray(t_grid, dtype=float)
+    r = min(1.0, float(t_grid[-1]))
+    s, u, t = np.array(triples, dtype=float).reshape(-1, 3).T
+    k = z.size
 
-    ef1 = 0.0
-    for s in (0.0, 0.5, 1.0):
-        m = fam(s, s)
-        ef1 = max(ef1, float(np.max(np.abs(m.evaluate(z) - z))))
+    def many(starts, ends, w):
+        return fam.evaluate_many(np.repeat(starts, k), np.repeat(ends, k), w.ravel()).reshape(-1, k)
 
-    ef2 = 0.0
-    for s, u, t in triples:
-        left = fam(u, t).evaluate(fam(s, u).evaluate(z))
-        right = fam(s, t).evaluate(z)
-        ef2 = max(ef2, float(np.max(np.abs(left - right))))
+    # the identity times, (s, u), (s, t) and the grid's (0, t) from the probes
+    starts = np.concatenate(([0.0, 0.5 * r, r], s, s, np.zeros_like(t_grid)))
+    ends = np.concatenate(([0.0, 0.5 * r, r], u, t, t_grid))
+    vals = many(starts, ends, np.tile(z, starts.size))
+    ident, mid, right, grid = np.split(vals, [3, 3 + s.size, 3 + 2 * s.size])
+    left = many(u, t, mid)
 
-    ef3 = 0.0
-    vals = np.stack([fam(0.0, float(t)).evaluate(z) for t in t_grid])
-    dts = np.diff(np.asarray(t_grid))
-    quot = np.abs(np.diff(vals, axis=0)) / dts[:, None]
+    ef1 = float(np.max(np.abs(ident - z)))
+    ef2 = float(np.max(np.abs(left - right), initial=0.0))
+    dts = np.diff(t_grid)
+    quot = np.abs(np.diff(grid, axis=0)) / dts[:, None]
     ef3 = float(np.max(quot))
 
     thresholds = {"ef1": EF1_TOL, "ef2": EF2_TOL}
@@ -516,13 +557,18 @@ def goryainov_ba_check(
     monotone = bool(np.all(np.diff(v_vals) >= -1e-12))
 
     rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(12):
+        s, u, t = np.sort(rng.choice(ts[1:-1], size=3, replace=False))
+        draws.append((s, u, t, complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.5))))
+    s, u, t, z = map(np.array, zip(*draws))
+    # the 12 slices over [s, t], then the 12 over [s, u], in one call
+    vals = hp.evaluate_many(np.tile(s, 2), np.concatenate((t, u)), np.tile(z, 2))
     worst = math.inf
     ok = True
     vmap = {float(t): float(v) for t, v in zip(ts, v_vals)}
-    for _ in range(12):
-        s, u, t = np.sort(rng.choice(ts[1:-1], size=3, replace=False))
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.5))
-        lhs = abs(complex(hp(s, t).evaluate(z)) - complex(hp(s, u).evaluate(z)))
+    for (_, u, t, z), phi_st, phi_su in zip(draws, vals[:12], vals[12:]):
+        lhs = abs(complex(phi_st) - complex(phi_su))
         rhs = (vmap[float(t)] - vmap[float(u)]) / z.imag
         margin = rhs + 1e-9 - lhs
         worst = min(worst, margin)
@@ -582,13 +628,18 @@ def translation_chain() -> ChainHandle:
 
 
 def chordal_family(driving) -> FamilyHandle:
-    """Disk-side evolution family of the chordal solver; see ``half_plane_side()``."""
+    """Disk-side evolution family of the chordal solver; see ``half_plane_side()``.
+
+    It carries ``driving``, so its checks evaluate their slices in one pass
+    over the step partition (:meth:`FamilyHandle.evaluate_many`).
+    """
     from .chordal import evolution_operator
 
     return FamilyHandle(
         lambda s, t: conjugate_by_cayley(evolution_operator(driving, s, t)),
         Domain.DISK,
         fixed_point=1.0 + 0.0j,
+        driving=driving,
     )
 
 

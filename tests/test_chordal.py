@@ -17,6 +17,7 @@ from loewner_kit import (
     disk_field_eval,
     ell,
     evolution_operator,
+    evolve_slices,
     extract_driving,
     hull_uniformizer,
     map_from_spec,
@@ -326,12 +327,14 @@ class TestStepPartition:
         z = np.array([0.3j, -1.2 + 0.5j, 2.0 + 1.5j, 0.1 + 3.0j])
         assert np.array_equal(solve_phi(d, s, t, z), evolution_operator(d, s, t).evaluate(z))
 
-    def test_zero_length_rows_are_walked_like_the_operator(self):
-        # a knot interval of 2e-15 split into 64 steps leaves rows of length
-        # 0, which the solver applies as the operator does
+    def test_zero_length_rows_are_dropped(self):
+        # a knot interval of 2e-15 split into 64 steps would leave 55 rows
+        # of length 0; the partition drops them, and the rest still tile
         d = DrivingFunction(((0.0, 0.0), (1.0, 0.5), (1.0 + 2e-15, 0.7)), "linear", 2.0)
         rows = d.segments(0.0, 2.0)
-        assert np.any(rows[:, 1] == rows[:, 0])
+        assert len(rows) == 192 - 55
+        assert np.all(rows[:, 1] > rows[:, 0])
+        assert np.array_equal(rows[1:, 0], rows[:-1, 1])
         z = sample_half_plane(np.random.default_rng(0), 200)
         assert np.array_equal(solve_phi(d, 0.0, 2.0, z), evolution_operator(d, 0.0, 2.0).evaluate(z))
 
@@ -387,6 +390,33 @@ class TestStepPartition:
         assert np.array_equal(steps[6:, 2], [-1.0, -1.0, -1.0])
         with pytest.raises(ValueError):
             d._steps[0, 2] = 5.0
+
+
+class TestEvolveSlices:
+    """One pass over the partition gives every slice's walk, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drivings_and_times())
+    def test_sweep_is_the_per_slice_walk(self, case):
+        d, s, u, t = case
+        windows = [(s, u), (u, t), (s, t), (u, u), (0.0, d.horizon), (t, d.horizon), (0.0, s)]
+        z = np.array([0.3j, -1.2 + 0.5j, 2.0 + 1.5j, 0.1 + 3.0j])
+        starts, ends = np.repeat(windows, z.size, axis=0).T
+        got = evolve_slices(d, starts, ends, np.tile(z, len(windows)))
+        want = np.concatenate([evolution_operator(d, a, b).evaluate(z) for a, b in windows])
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drivings_and_times())
+    def test_bad_window_raises_the_segments_error(self, case):
+        d, s, _, t = case
+        for bad in ((t + 0.1, t), (-0.1, s), (s, d.horizon + 0.1)):
+            with pytest.raises(InvalidMap) as want:
+                d.segments(*bad)
+            with pytest.raises(InvalidMap) as got:
+                # a good window first: nothing is walked before the check
+                evolve_slices(d, [s, bad[0]], [t, bad[1]], [1j, 1j])
+            assert str(got.value) == str(want.value)
 
 
 class TestTrace:

@@ -293,6 +293,18 @@ class TestFamilyVerify:
     def test_missing_family_exit_2(self, tmp_path):
         assert main(["family-verify", "--out", str(tmp_path / "r.json")]) == 2
 
+    def test_chordal_horizon_below_one(self, tmp_path):
+        # every check, the identity probes included, stays within [0, 0.5]
+        driving = write(tmp_path / "d.csv", "t,lambda\n0,0.1\n0.25,-0.2\n0.5,0.3\n")
+        out = tmp_path / "fam.json"
+        assert main([
+            "family-verify", "--family", "chordal", "--driving", driving, "--out", str(out),
+        ]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["ef"]["passed"] == {"ef1": True, "ef2": True, "ef3_proxy_finite": True}
+        assert rep["capacity_regularity"]["bound_ok"]
+        assert rep["capacity_regularity"]["v_table"][-1][0] == 0.5
+
 
 class TestChain:
     def test_cantor_report(self, tmp_path):

@@ -32,8 +32,9 @@ from loewner_kit import (
     verify_chain_association,
     verify_ef_axioms,
 )
+from loewner_kit import maps
 from loewner_kit.classes import boundary_derivative
-from loewner_kit.errors import DomainEscape, InvalidMap, ScheduleInvalid
+from loewner_kit.errors import BoundaryEvaluation, DomainEscape, InvalidMap, ScheduleInvalid
 
 from conftest import sample_half_plane
 
@@ -54,6 +55,49 @@ class TestFamilyHandle:
         assert complex(fam.half_plane_side()(0.0, 0.5).evaluate(w)).imag > 0
 
 
+def sin33_family():
+    ts = np.linspace(0.0, 1.0, 33)
+    return chordal_family(DrivingFunction.from_samples(ts, np.sin(3.0 * ts), "linear"))
+
+
+class TestEvaluateMany:
+    """``evaluate_many`` is the per-pair evaluation, whichever path it takes."""
+
+    S = np.array([0.0, 0.2, 0.2, 0.5, 0.0, 0.7, 0.2])
+    T = np.array([0.0, 0.9, 0.9, 0.5, 1.0, 0.95, 0.3])
+
+    @pytest.mark.parametrize("make", [
+        radial_family,
+        translation_family,
+        lambda: conjugate_family(translation_family(), DerivativeSchedule(((0.0, 0.0), (1.0, 0.7)))),
+    ])
+    def test_generic_families(self, make, rng):
+        fam = make()
+        z = 0.6 * np.exp(2j * np.pi * rng.uniform(size=self.S.size))
+        got = fam.evaluate_many(self.S, self.T, z)
+        for a, b in set(zip(self.S, self.T)):
+            pair = (self.S == a) & (self.T == b)
+            assert np.array_equal(got[pair], fam(a, b).evaluate(z[pair]))
+
+    def test_chordal_sides_walk_like_their_makers(self, rng):
+        disk = sin33_family()
+        half = disk.half_plane_side()
+        for fam, z in ((disk, 0.6 * np.exp(2j * np.pi * rng.uniform(size=40))),
+                       (half, sample_half_plane(rng, 40)),
+                       (half.disk_side(), 0.5 * np.exp(2j * np.pi * rng.uniform(size=40)))):
+            s = np.sort(rng.choice([0.0, 0.25, 0.5, 1.0, *rng.uniform(0, 1, 4)], (40, 2)), axis=1)
+            got = fam.evaluate_many(s[:, 0], s[:, 1], z)
+            for (a, b), w, v in zip(s, z, got):
+                # an array of one point, as the checks pass them
+                assert v == fam(a, b).evaluate(np.array([w]))[0]
+
+    @pytest.mark.parametrize("side, z", [("disk", [0.1, 1.0]), ("half", [0.5j, 0.5 - 1e-3j])])
+    def test_boundary_point_rejected(self, side, z):
+        fam = sin33_family() if side == "disk" else sin33_family().half_plane_side()
+        with pytest.raises(BoundaryEvaluation):
+            fam.evaluate_many([0.0, 0.1], [0.5, 0.6], z)
+
+
 class TestEfAxioms:
     def test_radial_model(self):
         rep = verify_ef_axioms(radial_family())
@@ -69,6 +113,24 @@ class TestEfAxioms:
         rep = verify_ef_axioms(fam, triples=triples, t_grid=np.linspace(0, 1.6, 10))
         assert rep.ef1_residual <= 1e-12
         assert rep.ef2_residual <= 1e-7
+
+    def test_each_row_walked_once_per_stage(self, monkeypatch):
+        # the 33-knot linear family has 2,048 rows; the probes' slices and
+        # then the composition law's (u, t) slices are one pass each, where
+        # a walk per slice takes 48,317 slit roots on these triples
+        fam = sin33_family()
+        rng = np.random.default_rng(1)
+        triples = [tuple(np.sort(rng.uniform(0.0, 1.0, 3))) for _ in range(16)]
+        root, calls = maps.slit_root, []
+
+        def counted(u, c):
+            calls.append(1)
+            return root(u, c)
+
+        monkeypatch.setattr(maps, "slit_root", counted)
+        rep = verify_ef_axioms(fam, triples=triples, t_grid=np.linspace(0.0, 1.0, 12), seed=1)
+        assert rep.passed["ef1"] and rep.passed["ef2"]
+        assert len(calls) <= 2 * 2048
 
     def test_broken_family_flagged(self):
         rep = verify_ef_axioms(broken_family())

@@ -22,7 +22,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .driving import DrivingFunction
+from .driving import DrivingFunction, check_windows
 from .errors import (
     InvalidMap,
     LeftDomain,
@@ -70,32 +70,12 @@ def solve_phi(
     t: float,
     points: Sequence[complex],
 ) -> np.ndarray:
-    """Transition map of the erasing flow applied to interior points.
-
-    Composes exact elementary steps over the driving term's steps
-    (:meth:`DrivingFunction.segments`).  A point whose trajectory approaches
-    the driving value within ``COLLISION_TOL`` is reported as swallowed via
-    :class:`StepCollision`, never clamped.
-    """
+    """Transition map of the erasing flow applied to a point or an array of
+    interior points: the window [s, t] of :func:`evolve_slices` for each."""
     w = np.asarray(points, dtype=complex)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w).copy()
-    if np.any(w.imag <= 0.0):
-        raise InvalidMap("solve_phi needs points with Im z > 0")
-    t0s, t1s, lams = driving.segments(s, t).T.tolist()
-
-    def collide(j, z, _):
-        hit = np.abs(z - lams[j]) < COLLISION_TOL
-        if np.any(hit):
-            idx = int(np.argmax(hit))
-            raise StepCollision(
-                f"point {idx} absorbed by the hull near t = {t1s[j]:.6g}",
-                time=t1s[j],
-                index=idx,
-            )
-
-    w = slit_walk(w, None, lams, [-2.0 * (t1 - t0) for t0, t1 in zip(t0s, t1s)], collide)[0]
-    return w[0] if scalar else w
+    s, t = np.full((2, w.size), [[s], [t]], dtype=float)
+    out = evolve_slices(driving, s, t, w.ravel())
+    return out[0] if w.ndim == 0 else out.reshape(w.shape)
 
 
 def evolution_operator(driving: DrivingFunction, s: float, t: float) -> MapEvaluator:
@@ -113,23 +93,26 @@ def evolution_operator(driving: DrivingFunction, s: float, t: float) -> MapEvalu
 
 
 def evolve_slices(driving: DrivingFunction, s, t, z) -> np.ndarray:
-    """phi_{s_i, t_i}(z_i) for every i of equal-length arrays, in one pass
-    over the driving term's step partition.
+    """phi_{s_i, t_i}(z_i) for every i of equal-length 1-d arrays, in one
+    pass over the driving term's step partition.
 
     Point i takes the steps of ``driving.segments(s_i, t_i)`` in order.  A
     window's first and last rows are one-step walks with each point's
     clipped capacity; between event rows (those and the rows after them)
     every window covering a stretch walks it as one run.  So the result
     equals ``evolution_operator(driving, s_i, t_i).evaluate`` of an array
-    bit for bit.  Every window is validated before any walking.
+    bit for bit.  Every point and window is validated before any walking,
+    and a point that comes within ``COLLISION_TOL`` of the driving value
+    raises :class:`StepCollision` (README, *Conventions*).
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
     w = np.array(z, dtype=complex)
-    bad = np.flatnonzero(~((0.0 <= s) & (s <= t) & (t <= driving.horizon + 1e-12)))
-    if bad.size:
-        i = bad[0]
-        raise InvalidMap(f"need 0 <= s <= t <= horizon, got [{float(s[i])}, {float(t[i])}]")
+    if not (w.ndim == 1 and s.shape == t.shape == w.shape):
+        raise InvalidMap(f"need 1-d s, t and z of one length, got {s.shape}, {t.shape}, {w.shape}")
+    if np.any(w.imag <= 0.0):
+        raise InvalidMap("solve_phi needs points with Im z > 0")
+    check_windows(s, t, driving.horizon)
+    low = w.imag < 2.0 * COLLISION_TOL
     steps = driving._steps
     first = np.searchsorted(steps[:, 1], s, side="right")
     last = np.searchsorted(steps[:, 0], t, side="left") - 1
@@ -144,12 +127,22 @@ def evolve_slices(driving: DrivingFunction, s, t, z) -> np.ndarray:
         if not on.any():
             continue
         k = live[on]
-        if j1 - j0 > 1:
-            w[k] = slit_walk(w[k], None, lams[j0:j1], cs[j0:j1], None)[0]
-        else:
+
+        def collide(j, z, _):
+            hit = np.abs(z - lams[j0 + j]) < COLLISION_TOL
+            if np.any(hit):
+                i = int(np.argmax(hit))
+                # only a window's last row ends at its own t
+                end = float(t[k[i]] if b[on][i] == j0 + j else steps[j0 + j, 1])
+                msg = f"point {k[i]} absorbed by the hull near t = {end:.6g}"
+                raise StepCollision(msg, time=end, index=int(k[i]))
+
+        caps = cs[j0:j1]
+        if j1 - j0 == 1:
             t0 = np.where(a[on] == j0, s[k], steps[j0, 0])
             t1 = np.where(b[on] == j0, t[k], steps[j0, 1])
-            w[k] = slit_walk(w[k], None, lams[j0:j1], (-2.0 * (t1 - t0),), None)[0]
+            caps = (-2.0 * (t1 - t0),)
+        w[k] = slit_walk(w[k], None, lams[j0:j1], caps, collide if low[k].any() else None)[0]
     return w
 
 
@@ -178,11 +171,8 @@ def solve_phi_rk(
     next knot in linear mode and the held value past the last knot.  So
     the right-hand side is smooth on every interval, its ends included.
     """
-    if t > s and not (0.0 <= s and t <= driving.horizon + 1e-12):
-        raise InvalidMap(f"need 0 <= s <= t <= horizon, got [{s}, {t}]")
-    w = np.asarray(points, dtype=complex)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w).copy()
+    check_windows(s, t, driving.horizon)
+    w = np.array(points, dtype=complex)
     knots = [(float(tk), float(vk)) for tk, vk in driving.knots]
     ends = [tk for tk, _ in knots[1:]] + [math.inf]
     pieces = [
@@ -190,14 +180,14 @@ def solve_phi_rk(
         for k, ((tk, _), end) in enumerate(zip(knots, ends))
         if max(s, tk) < min(t, end)
     ]
-    for i in range(w.size):
+    for i in np.ndindex(w.shape):
         y = complex(w[i])
         for a, b, lam in pieces:
             y = integrate_rk45(
                 lambda tau, v, lam=lam: 1.0 / (lam(tau) - v), a, b, y, rtol=rtol, atol=atol
             )
         w[i] = y
-    return w[0] if scalar else w
+    return w[()] if w.ndim == 0 else w
 
 
 def _piece_driving(knots, k: int, linear: bool) -> Callable[[float], float]:

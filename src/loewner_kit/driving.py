@@ -37,6 +37,16 @@ def knot_lookup(table: np.ndarray, t, linear: bool = True):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
+def check_windows(s, t, horizon: float) -> None:
+    """Raise :class:`InvalidMap` at the first window [s, t] of equal-shape
+    times or arrays of times outside 0 <= s <= t <= horizon."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    ok = (0.0 <= s) & (s <= t) & (t <= horizon + 1e-12)
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
+        raise InvalidMap(f"need 0 <= s <= t <= horizon, got [{s.flat[i]}, {t.flat[i]}]")
+
+
 @dataclass(frozen=True)
 class DrivingFunction:
     """Piecewise driving term lambda(t) on [0, horizon].
@@ -137,8 +147,7 @@ class DrivingFunction:
         linear mode.  So the steps over [s, u] and [u, t] tile those over
         [s, t], and transition maps compose up to round-off.
         """
-        if not (0.0 <= s <= t <= self.horizon + 1e-12):
-            raise InvalidMap(f"need 0 <= s <= t <= horizon, got [{s}, {t}]")
+        check_windows(s, t, self.horizon)
         if t <= s:
             return np.empty((0, 3))
         steps = self._steps

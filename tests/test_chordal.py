@@ -27,7 +27,7 @@ from loewner_kit import (
     solve_phi_rk,
     trace_from_driving,
 )
-from loewner_kit.chordal import erase_many
+from loewner_kit.chordal import COLLISION_TOL, erase_many
 from loewner_kit.errors import (
     InvalidMap,
     LeftDomain,
@@ -35,6 +35,7 @@ from loewner_kit.errors import (
     SelfIntersection,
     StepCollision,
 )
+from loewner_kit.maps import slit_walk
 from loewner_kit.ode import integrate_rk45
 
 from conftest import sample_disk, sample_half_plane
@@ -158,6 +159,26 @@ class TestSolvePhi:
         d = DrivingFunction.constant(0.0, 1.0)
         with pytest.raises(InvalidMap):
             solve_phi_rk(d, 0.0, 1.5, [1j])
+
+    @pytest.mark.parametrize("s, t", [(0.5, 0.2), (-1.0, -2.0), (2.0, 1.5), (0.0, 1.5)])
+    def test_rk_rejects_bad_windows_with_the_segments_error(self, s, t):
+        d = DrivingFunction.constant(0.0, 1.0)
+        with pytest.raises(InvalidMap) as want:
+            d.segments(s, t)
+        with pytest.raises(InvalidMap) as got:
+            solve_phi_rk(d, s, t, [1j])
+        assert str(got.value) == str(want.value)
+
+    def test_shapes_are_kept(self):
+        d = DrivingFunction(((0.0, 0.3), (0.4, -0.2)), "linear", 1.0, n_sub=4)
+        z = np.array([[0.5j, 1 + 1j, -0.5 + 2j], [0.1j, 2 + 0.3j, 0.7j]])
+        flat = solve_phi(d, 0.1, 0.9, z.ravel())
+        assert np.array_equal(solve_phi(d, 0.1, 0.9, z), flat.reshape(2, 3))
+        one = solve_phi(d, 0.1, 0.9, 1 + 1j)
+        assert isinstance(one, complex) and one == flat[1]
+        rk = solve_phi_rk(d, 0.1, 0.9, z)
+        assert np.array_equal(rk, solve_phi_rk(d, 0.1, 0.9, z.ravel()).reshape(2, 3))
+        assert isinstance(solve_phi_rk(d, 0.1, 0.9, 1 + 1j), complex)
 
     def test_linear_mode_second_order(self):
         d = DrivingFunction.from_samples([0.0, 1.0], [0.0, 1.0], mode="linear")
@@ -406,6 +427,17 @@ class TestEvolveSlices:
         want = np.concatenate([evolution_operator(d, a, b).evaluate(z) for a, b in windows])
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("s, t, z", [
+        ([0.0, 0.0], [1.0, 1.0], [1j, 2j, 3j]),
+        ([0.0, 0.0], [1.0, 1.0], [1j]),
+        ([0.0, 0.0], [1.0], [1j, 2j]),
+        ([[0.0, 0.0]], [[1.0, 1.0]], [[1j, 2j]]),
+    ])
+    def test_length_mismatch_rejected(self, s, t, z):
+        d = DrivingFunction.constant(0.0, 1.0)
+        with pytest.raises(InvalidMap, match="of one length"):
+            evolve_slices(d, s, t, z)
+
     @settings(max_examples=100, deadline=None)
     @given(drivings_and_times())
     def test_bad_window_raises_the_segments_error(self, case):
@@ -417,6 +449,94 @@ class TestEvolveSlices:
                 # a good window first: nothing is walked before the check
                 evolve_slices(d, [s, bad[0]], [t, bad[1]], [1j, 1j])
             assert str(got.value) == str(want.value)
+
+
+def per_step_solve_phi(driving, s, t, points):
+    """``solve_phi`` as a walk of its own, checking every point against the
+    driving value after every step: the reference for the gated check."""
+    w = np.atleast_1d(np.asarray(points, dtype=complex)).copy()
+    if np.any(w.imag <= 0.0):
+        raise InvalidMap("solve_phi needs points with Im z > 0")
+    t0s, t1s, lams = driving.segments(s, t).T.tolist()
+
+    def collide(j, z, _):
+        hit = np.abs(z - lams[j]) < COLLISION_TOL
+        if np.any(hit):
+            idx = int(np.argmax(hit))
+            raise StepCollision(f"point {idx} absorbed near t = {t1s[j]}", time=t1s[j], index=idx)
+
+    return slit_walk(w, None, lams, [-2.0 * (t1 - t0) for t0, t1 in zip(t0s, t1s)], collide)[0]
+
+
+def outcome(fn, *args):
+    """The values of ``fn(*args)``, or the (index, time) of its collision."""
+    try:
+        return fn(*args)
+    except StepCollision as err:
+        return err.index, err.time
+
+
+class TestCollisions:
+    """The collision check runs only on walks holding a point that starts
+    below Im w = 2 COLLISION_TOL, and reports what the per-step check does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drivings_and_times(), st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=3))
+    def test_gated_check_is_the_per_step_check(self, case, xs):
+        d, s, _, t = case
+        lam = d.value(s)
+        # the last two real parts reach the driving value at t for constant driving
+        xs = xs + [lam, lam + math.sqrt(2.0 * (t - s)), lam - math.sqrt(2.0 * (t - s))]
+        ims = [1e-20, 5e-10, 1.5e-9, 3e-9, 0.3]
+        z = np.array([x + 1j * y for x in xs for y in ims])
+        want = outcome(per_step_solve_phi, d, s, t, z)
+        got = outcome(solve_phi, d, s, t, z)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    def test_collisions_across_windows(self):
+        # rows [0, 8), [8, 12.5), [12.5, 14), [14, 20) of the zero driving;
+        # x^2 - 2 (capacity walked) is exact, so each point below meets 0
+        # at the end of a row: 3 from s = 3.5 at the end of the clipped first
+        # row (8), 5 from s = 0 at 12.5 inside a run of rows 1-2, and 2 from
+        # s = 8 at its own t = 10
+        d = DrivingFunction(((0.0, 0.0), (8.0, 0.0), (12.5, 0.0), (14.0, 0.0)), "const", 20.0)
+        low = {"first": (3.5, 20.0, 3.0), "run": (0.0, 20.0, 5.0), "last": (8.0, 10.0, 2.0)}
+        hit_at = {"first": 8.0, "run": 12.5, "last": 10.0}
+        for name, (a, b, x) in low.items():
+            # each window alone, as the per-step walk reports it
+            assert outcome(per_step_solve_phi, d, a, b, [x + 1e-20j]) == (0, hit_at[name])
+        # the earliest row wins, then the lowest index; an interior point
+        # walks every row with them, and without "last" rows 1-2 are a run
+        cases = [
+            (["run", "last", "first"], (2, 8.0)),
+            (["run", "last"], (0, 12.5)),
+            (["last", "run"], (0, 10.0)),
+            (["run"], (0, 12.5)),
+            (["run", "first"], (1, 8.0)),
+        ]
+        for names, want in cases:
+            s, t, x = np.array([low[n] for n in names] + [(0.0, 20.0, 0.0)]).T
+            z = x + 1e-20j + np.append(np.zeros(len(names)), 1.0j)
+            with pytest.raises(StepCollision) as info:
+                evolve_slices(d, s, t, z)
+            assert (info.value.index, info.value.time) == want
+
+    def test_erase_step_lowers_im_by_at_most_1e_15(self):
+        # the collision gate rests on this bound: a walk loses at most a
+        # factor (1 - 1e-15)^n of a point's Im, so a point that starts at
+        # 2 COLLISION_TOL stays above COLLISION_TOL for ~10^15 steps; the
+        # worst seen over 10^7 random steps is 4.2e-16
+        rng = np.random.default_rng(11)
+        n = 200_000
+        lam = rng.uniform(-3.0, 3.0, n)
+        u = rng.uniform(-3.0, 3.0, n) + 1j * 10.0 ** rng.uniform(-20.0, 1.0, n)
+        cap = np.abs(u) ** 2 * 10.0 ** rng.uniform(-25.0, 0.0, n)
+        w = lam + u
+        out = slit_walk(w, None, (lam,), (-2.0 * cap,), None)[0]
+        assert np.max((w.imag - out.imag) / w.imag) <= 1e-15
 
 
 class TestTrace:

@@ -91,6 +91,17 @@ class TestEvaluateMany:
                 # an array of one point, as the checks pass them
                 assert v == fam(a, b).evaluate(np.array([w]))[0]
 
+    @pytest.mark.parametrize("side", ["disk", "half"])
+    @pytest.mark.parametrize("s, t, z", [
+        ([0.0, 0.0], [1.0, 1.0], [0.1j, 0.2j, 0.3j]),
+        ([0.0, 0.0], [1.0, 1.0], [0.1j]),
+        ([0.0, 0.0], [1.0], [0.1j, 0.2j]),
+    ])
+    def test_chordal_length_mismatch_rejected(self, side, s, t, z):
+        fam = sin33_family() if side == "disk" else sin33_family().half_plane_side()
+        with pytest.raises(InvalidMap, match="of one length"):
+            fam.evaluate_many(s, t, z)
+
     @pytest.mark.parametrize("side, z", [("disk", [0.1, 1.0]), ("half", [0.5j, 0.5 - 1e-3j])])
     def test_boundary_point_rejected(self, side, z):
         fam = sin33_family() if side == "disk" else sin33_family().half_plane_side()

@@ -5,12 +5,17 @@ A second call site is a second copy of the step formula
 ``lam + slit_root(w - lam, c)``, which can drift from the first in its
 branch rule, its derivative or the order of its float operations.  The
 scan is by name, so ``slit_root(...)`` and ``maps.slit_root(...)`` both
-count.
+count.  In the same way the walk has a fixed set of callers, one of them
+``chordal.evolve_slices``, the one forward walker over the step partition.
 """
 
 import ast
 import os
 import textwrap
+
+import numpy as np
+
+from loewner_kit import DrivingFunction, chordal
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "loewner_kit")
@@ -41,19 +46,56 @@ class _KernelCalls(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def stray_kernel_calls(package=PACKAGE):
-    """Calls of the kernel anywhere but directly inside the walk."""
-    stray = []
+class _WalkCalls(_KernelCalls):
+    """(path, line, enclosing scope) of each call of ``WALK``; the scope is
+    qualified by its enclosing classes and functions, as in ``A.f.g``."""
+
+    def visit_ClassDef(self, node):
+        self._functions.append(node.name)
+        self.generic_visit(node)
+        self._functions.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) == WALK:
+            self.found.append((self.path, node.lineno, ".".join(self._functions) or "<module>"))
+        self.generic_visit(node)
+
+
+def _scan(package, visitor):
+    """Every call ``visitor`` finds in the ``.py`` files under ``package``."""
+    found = []
     for dirpath, _, names in os.walk(package):
         for name in sorted(names):
             if not name.endswith(".py"):
                 continue
             path = os.path.join(dirpath, name)
             with open(path) as fh:
-                calls = _KernelCalls(os.path.relpath(path, package))
+                calls = visitor(os.path.relpath(path, package))
                 calls.visit(ast.parse(fh.read(), path))
-            stray += [c for c in calls.found if c[2] != WALK]
-    return stray
+            found += calls.found
+    return found
+
+
+def stray_kernel_calls(package=PACKAGE):
+    """Calls of the kernel anywhere but directly inside the walk."""
+    return [c for c in _scan(package, _KernelCalls) if c[2] != WALK]
+
+
+# the step evaluation of a run, the one-step helpers the tracer wraps, the
+# forward walker over the partition and the slit family's backward walk
+WALK_CALLERS = {
+    "SlitStep._eval_deriv",
+    "erase_many",
+    "grow_many",
+    "evolve_slices",
+    "slit_half_plane.walk",
+}
+
+
+def stray_walk_calls(package=PACKAGE):
+    """Calls of the walk from anywhere but ``WALK_CALLERS``."""
+    return [c for c in _scan(package, _WalkCalls) if c[2] not in WALK_CALLERS]
 
 
 def test_slit_root_is_called_only_by_the_walk():
@@ -102,3 +144,59 @@ def test_scan_flags_a_second_copy_of_the_step(tmp_path):
     ]
     (pkg / "solver.py").write_text("from .maps import slit_walk\n")
     assert stray_kernel_calls(str(pkg)) == []
+
+
+def test_slit_walk_has_only_its_known_callers():
+    # a second walker over the step partition, such as a solve_phi with a
+    # loop of its own, is a second copy of the slicing and of the collision
+    # check
+    assert stray_walk_calls() == []
+
+
+def test_walk_scan_flags_a_second_walker(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "chordal.py").write_text(textwrap.dedent("""
+        from .maps import slit_walk
+
+        def evolve_slices(driving, s, t, z):
+            return slit_walk(z, None, (), (), None)[0]
+
+        def solve_phi(driving, s, t, points):
+            return slit_walk(points, None, (), (), None)[0]
+
+        class SlitStep:
+            def _eval_deriv(self, z, d):
+                return slit_walk(z, d, (), (), None)
+
+            def _eval(self, z):
+                return slit_walk(z, None, (), (), None)[0]
+    """))
+    assert stray_walk_calls(str(pkg)) == [
+        ("chordal.py", 8, "solve_phi"),
+        ("chordal.py", 15, "SlitStep._eval"),
+    ]
+
+
+def test_interior_points_walk_without_the_collision_check(monkeypatch):
+    # Im w never decreases along the flow and |w - lambda| >= Im w, so a
+    # walk whose points all start at Im w >= 2 COLLISION_TOL cannot collide
+    hooks = []
+    walk = chordal.slit_walk
+
+    def recording(z, d, lams, cs, each):
+        hooks.append(each)
+        return walk(z, d, lams, cs, each)
+
+    monkeypatch.setattr(chordal, "slit_walk", recording)
+    d = DrivingFunction.from_samples([0.0, 0.5, 1.0], [0.0, 0.4, -0.3], "linear")
+    z = np.array([0.05j, 1.0 + 2e-9j, -0.5 + 0.3j])
+    chordal.solve_phi(d, 0.1, 0.9, z)
+    chordal.evolve_slices(d, [0.0, 0.2, 0.3], [1.0, 0.6, 0.3], z)
+    assert hooks and all(each is None for each in hooks)
+    hooks.clear()
+    # a point below 2 COLLISION_TOL puts the check on every walk it is in:
+    # its window [0, 0.1] walks as a first row, a run and a last row, and
+    # the interior point's disjoint window [0.2, 0.6] as three more
+    chordal.evolve_slices(d, [0.0, 0.2], [0.1, 0.6], [1.0 + 1.9e-9j, 0.05j])
+    assert [each is None for each in hooks] == [False] * 3 + [True] * 3

@@ -92,6 +92,15 @@ def evolution_operator(driving: DrivingFunction, s: float, t: float) -> MapEvalu
     return SlitStep(segs[:, 2], segs[:, 1] - segs[:, 0], "erase")
 
 
+def _slices(s, t, z):
+    """Float ``s``, ``t`` and a complex copy of ``z``: 1-d, of one length."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    w = np.array(z, dtype=complex)
+    if not (w.ndim == 1 and s.shape == t.shape == w.shape):
+        raise InvalidMap(f"need 1-d s, t and z of one length, got {s.shape}, {t.shape}, {w.shape}")
+    return s, t, w
+
+
 def evolve_slices(driving: DrivingFunction, s, t, z) -> np.ndarray:
     """phi_{s_i, t_i}(z_i) for every i of equal-length 1-d arrays, in one
     pass over the driving term's step partition.
@@ -105,10 +114,7 @@ def evolve_slices(driving: DrivingFunction, s, t, z) -> np.ndarray:
     and a point that comes within ``COLLISION_TOL`` of the driving value
     raises :class:`StepCollision` (README, *Conventions*).
     """
-    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    w = np.array(z, dtype=complex)
-    if not (w.ndim == 1 and s.shape == t.shape == w.shape):
-        raise InvalidMap(f"need 1-d s, t and z of one length, got {s.shape}, {t.shape}, {w.shape}")
+    s, t, w = _slices(s, t, z)
     if np.any(w.imag <= 0.0):
         raise InvalidMap("solve_phi needs points with Im z > 0")
     check_windows(s, t, driving.horizon)

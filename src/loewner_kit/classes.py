@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import Diverging, InvalidMap, LoewnerKitError, RigidityViolation, Unstable
+from .errors import Diverging, InvalidMap, LoewnerKitError, QuadratureBudget, RigidityViolation, Unstable
 from .maps import (
     Domain,
     MapEvaluator,
@@ -84,11 +84,9 @@ class MeasureMap(MapEvaluator):
     def tail(self):
         return Tail(1.0, 0.0, -self.measure.total_mass)
 
-    def _eval(self, z):
-        return z + self.measure.cauchy_sum(z, 1)
-
-    def _deriv(self, z):
-        return 1.0 + self.measure.cauchy_sum(z, 2)
+    def _eval_deriv(self, z, d):
+        w = z + self.measure.cauchy_sum(z, 1)
+        return w, None if d is None else d * (1.0 + self.measure.cauchy_sum(z, 2))
 
     def to_spec(self):
         return {"kind": "measure_map", "measure": self.measure.to_spec()}
@@ -123,11 +121,9 @@ class NevanlinnaMap(MapEvaluator):
             complex(-self.measure.total_mass),
         )
 
-    def _eval(self, z):
-        return self.beta * z + self.alpha + self.measure.cauchy_sum(z, 1) - self._centering
-
-    def _deriv(self, z):
-        return self.beta + self.measure.cauchy_sum(z, 2)
+    def _eval_deriv(self, z, d):
+        w = self.beta * z + self.alpha + self.measure.cauchy_sum(z, 1) - self._centering
+        return w, None if d is None else d * (self.beta + self.measure.cauchy_sum(z, 2))
 
     def to_spec(self):
         return {
@@ -493,9 +489,12 @@ def classify(m: MapEvaluator) -> ClassReport:
     except (Diverging, Unstable) as exc:
         diagnostics["ell_error"] = str(exc)
 
-    report = is_p0(g)
-    diagnostics["p0_sup"] = report.sup_estimate
-    diagnostics["p0_confidence"] = report.confidence
+    try:
+        report = is_p0(g)
+        diagnostics.update(p0_sup=report.sup_estimate, p0_confidence=report.confidence)
+    except QuadratureBudget as exc:  # its samples reach down to y = 0.01
+        report = None
+        diagnostics["p0_error"] = str(exc)
 
     tail = None
     c_tilde = False
@@ -506,7 +505,7 @@ def classify(m: MapEvaluator) -> ClassReport:
 
     memberships = {
         "P": a_inf is not None and abs(a_inf - 1.0) <= 1e-5,
-        "P0": report.member,
+        "P0": report is not None and report.member,
         "C": a_inf is not None and a_inf > 1e-8,
         "C_tilde": bool(c_tilde),
     }

@@ -176,12 +176,24 @@ def _parse_trace_csv(path: str) -> List[TraceSample]:
     return out
 
 
+def _finite(value, flag: str) -> float:
+    """``value`` as a finite float, or a :class:`ParseError` naming ``flag``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ParseError(f"{flag} needs a finite number, got {value!r}")
+    return x
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         t0, t1, n = spec.split(":")
-        t0, t1, n = float(t0), float(t1), int(n)
+        n = int(n)
     except ValueError:
         raise ParseError(f"grid must be 't0:t1:n', got {spec!r}")
+    t0, t1 = _finite(t0, "--grid"), _finite(t1, "--grid")
     if n < 2 or t1 <= t0:
         raise ParseError(f"grid needs t1 > t0 and n >= 2, got {spec!r}")
     return np.linspace(t0, t1, n)
@@ -190,9 +202,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _parse_point(spec: str) -> complex:
     try:
         re, im = spec.split(",")
-        return complex(float(re), float(im))
     except ValueError:
         raise ParseError(f"point must be 're,im', got {spec!r}")
+    return complex(_finite(re, "--basepoint"), _finite(im, "--basepoint"))
 
 
 _GAMMA_NAMES = {
@@ -204,13 +216,20 @@ _GAMMA_NAMES = {
 def _gamma_from_expr(expr: str):
     if expr == "cantor":
         return None
-    code = compile(expr, "<gamma>", "eval")
+    try:
+        code = compile(expr, "<gamma>", "eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ParseError(f"--gamma {expr!r} is not an expression: {exc}")
     for name in code.co_names:
         if name not in _GAMMA_NAMES and name != "t":
             raise ParseError(f"gamma expression uses unknown name {name!r}")
 
     def gamma(t: float) -> float:
-        return float(eval(code, {"__builtins__": {}}, {**_GAMMA_NAMES, "t": t}))
+        try:
+            value = eval(code, {"__builtins__": {}}, {**_GAMMA_NAMES, "t": t})
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ParseError(f"--gamma {expr!r} fails at t = {t:g}: {exc}")
+        return _finite(value, f"--gamma at t = {t:g}")
 
     return gamma
 
@@ -221,11 +240,12 @@ def _gamma_from_expr(expr: str):
 
 
 def _cmd_evolve(args) -> int:
+    s, t = _finite(args.time_from, "--from"), _finite(args.time_to, "--to")
     driving = parse_driving_csv(args.driving, args.interp, args.horizon, args.nsub)
     pts = _parse_points_csv(args.points)
 
     def evolve(points):
-        return solve_phi(driving, args.time_from, args.time_to, points)
+        return solve_phi(driving, s, t, points)
 
     if args.threads > 1:
         chunks = [c for c in np.array_split(pts, args.threads) if c.size]
@@ -304,6 +324,8 @@ def _cmd_family_verify(args) -> int:
         _load_family_spec(args)
     if not args.family:
         raise ParseError("need --family or --family-spec")
+    if args.triples < 1:
+        raise ParseError(f"--triples needs at least 1, got {args.triples}")
     t_hi = 1.5
     if args.family == "radial":
         fam, chain = radial_family(), radial_chain()
@@ -348,6 +370,9 @@ def _cmd_family_verify(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    d = math.inf if args.order == "inf" else _finite(args.order, "--order")
+    if d < 1.0:
+        raise ParseError(f"--order needs 'inf' or a number >= 1, got {args.order!r}")
     if args.family == "scaled-disks":
         gamma = _gamma_from_expr(args.gamma)
         fam = cantor_family() if gamma is None else scaled_disks(gamma)
@@ -362,7 +387,6 @@ def _cmd_chain(args) -> int:
     grid = _parse_grid(args.grid)
     basepoint = _parse_point(args.basepoint)
     profile = radius_profile(fam, grid, basepoint)
-    d = math.inf if args.order == "inf" else float(args.order)
     report = chain_report(profile, d)
     payload = {"report": report.to_dict(), "kind": fam.kind}
     if fam.kind == "slit_half_plane":
@@ -375,7 +399,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_demo(args) -> int:
     if args.scenario == "spiral":
-        taus = np.linspace(0.0, args.tau_max, args.n)
+        taus = np.linspace(0.0, _finite(args.tau_max, "--tau-max"), args.n)
         rows = []
         for tau in taus:
             z = spiral_curve(float(tau))

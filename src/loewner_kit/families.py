@@ -30,12 +30,12 @@ from .maps import (
     CAYLEY,
     CAYLEY_INV,
     Domain,
-    Identity,
     MapEvaluator,
     Moebius,
     compose,
     conjugate_by_cayley,
     invert_numeric,
+    _check_domain,
 )
 from .regularity import ac_proxy
 
@@ -117,8 +117,10 @@ class FamilyHandle:
         evaluates ``maker(s, t)`` once per distinct pair.  The values equal
         those of ``self(s_i, t_i).evaluate`` on arrays, bit for bit.
         """
-        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=complex)
+        from .chordal import _slices, evolve_slices
+
+        s, t, z = _slices(s, t, z)
+        _check_domain(self.domain, z)
         if self.driving is None:
             out = np.empty_like(z)
             pairs: dict = {}
@@ -127,9 +129,6 @@ class FamilyHandle:
             for (a, b), idx in pairs.items():
                 out[idx] = self.maker(a, b).evaluate(z[idx])
             return out
-        from .chordal import evolve_slices
-
-        Identity(self.domain)._check_domain(z)
         if self.domain is Domain.HALF_PLANE:
             return evolve_slices(self.driving, s, t, z)
         return CAYLEY_INV._eval(evolve_slices(self.driving, s, t, CAYLEY._eval(z)))
@@ -348,9 +347,7 @@ def verify_chain_association(
 
 def beta(fam: FamilyHandle, z: complex, t: float) -> float:
     """Normalized derivative quotient |phi'_{0,t}(z)| / (1 - |phi_{0,t}(z)|^2)."""
-    phi = fam.disk_side()(0.0, t)
-    w = complex(phi.evaluate(z))
-    d = complex(phi.derivative(z))
+    w, d = fam.disk_side()(0.0, t)._value_deriv(z, True)
     return abs(d) / (1.0 - abs(w) ** 2)
 
 

@@ -8,7 +8,11 @@ one run, not one object per step.  Every evaluator knows
 
 * its declared domain (unit disk or upper half-plane) and a codomain hint,
 * exact pointwise values and exact derivatives (chain rule over primitives;
-  finite differences are used only as a test oracle),
+  finite differences only for a GenericCallable without ``dfunc``), both
+  from its one evaluation method ``_eval_deriv(z, d)``, which returns
+  ``(f(z), d * f'(z))``, or ``(f(z), None)`` when ``d`` is None (the only
+  other ``_eval``/``_deriv`` are the base wrapper and ``SlitStep``'s shims
+  for the benchmark's tracer),
 * optionally an exact Laurent tail ``a z + b + c / z`` near infinity.
 
 Compositions are stored as a flat tuple of factors in application order, so
@@ -109,14 +113,11 @@ def slit_walk(z, d, lams, cs, each):
     return z, d
 
 
-def _as_complex(z):
-    """Return (array, was_scalar) view of complex input."""
-    arr = np.asarray(z, dtype=complex)
-    return arr, arr.ndim == 0
-
-
-def _scalar(values, was_scalar):
-    return complex(values[()]) if was_scalar else values
+def _check_domain(domain: Domain, z: np.ndarray) -> None:
+    if domain is Domain.DISK and np.any(np.abs(z) >= _DISK_EDGE):
+        raise BoundaryEvaluation("evaluation requires |z| < 1 - 1e-14 in the unit disk")
+    if domain is Domain.HALF_PLANE and np.any(z.imag <= 0.0):
+        raise BoundaryEvaluation("evaluation requires Im z > 0")
 
 
 @dataclass(frozen=True)
@@ -154,37 +155,31 @@ class MapEvaluator:
 
     # -- evaluation ------------------------------------------------------
 
+    def _eval_deriv(self, z: np.ndarray, d: Optional[np.ndarray]):
+        """``(f(z), d * f'(z))``, or ``(f(z), None)`` when ``d`` is None: the
+        one evaluation method an evaluator implements (the chain rule when
+        a composition passes (z, d) through its factors)."""
+        raise NotImplementedError
+
     def _eval(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._eval_deriv(z, None)[0]
 
-    def _deriv(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _eval_deriv(self, z: np.ndarray, d: np.ndarray):
-        """``(f(z), d * f'(z))``: one chain-rule step of a composition."""
-        return self._eval(z), d * self._deriv(z)
-
-    def _check_domain(self, z: np.ndarray) -> None:
-        if self.domain is Domain.DISK:
-            if np.any(np.abs(z) >= _DISK_EDGE):
-                raise BoundaryEvaluation(
-                    "evaluation requires |z| < 1 - 1e-14 in the unit disk"
-                )
-        elif self.domain is Domain.HALF_PLANE:
-            if np.any(z.imag <= 0.0):
-                raise BoundaryEvaluation("evaluation requires Im z > 0")
+    def _value_deriv(self, z, with_deriv: bool):
+        """(f(z), f'(z) or None) from one walk; complex values for a scalar z."""
+        arr = np.asarray(z, dtype=complex)
+        _check_domain(self.domain, arr)
+        w, d = self._eval_deriv(arr, np.ones_like(arr) if with_deriv else None)
+        if arr.ndim == 0:
+            return complex(w[()]), None if d is None else complex(d[()])
+        return w, d
 
     def evaluate(self, z):
-        arr, scalar = _as_complex(z)
-        self._check_domain(arr)
-        return _scalar(self._eval(arr), scalar)
+        return self._value_deriv(z, False)[0]
 
     __call__ = evaluate
 
     def derivative(self, z):
-        arr, scalar = _as_complex(z)
-        self._check_domain(arr)
-        return _scalar(self._deriv(arr), scalar)
+        return self._value_deriv(z, True)[1]
 
     # -- structure -------------------------------------------------------
 
@@ -214,11 +209,8 @@ class Identity(MapEvaluator):
 
     tail = Tail(1.0, 0.0, 0.0)
 
-    def _eval(self, z):
-        return z
-
-    def _deriv(self, z):
-        return np.ones_like(z)
+    def _eval_deriv(self, z, d):
+        return z, d
 
     def closed_inverse(self):
         return self
@@ -245,11 +237,8 @@ class Affine(MapEvaluator):
     def tail(self):
         return Tail(self.a, self.b, 0.0)
 
-    def _eval(self, z):
-        return self.a * z + self.b
-
-    def _deriv(self, z):
-        return np.full_like(z, self.a)
+    def _eval_deriv(self, z, d):
+        return self.a * z + self.b, None if d is None else d * np.full_like(z, self.a)
 
     def closed_inverse(self):
         return Affine(1.0 / self.a, -self.b / self.a, self.codomain, self.domain)
@@ -314,12 +303,9 @@ class Moebius(MapEvaluator):
             return Tail(self.a / self.d, self.b / self.d, 0.0)
         return None
 
-    def _eval(self, z):
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def _deriv(self, z):
+    def _eval_deriv(self, z, d):
         den = self.c * z + self.d
-        return self.det / (den * den)
+        return (self.a * z + self.b) / den, None if d is None else d * (self.det / (den * den))
 
     def closed_inverse(self):
         return Moebius(self.d, -self.b, -self.c, self.a, self.codomain, self.domain)
@@ -345,12 +331,9 @@ class Cayley(MapEvaluator):
     domain = Domain.DISK
     codomain = Domain.HALF_PLANE
 
-    def _eval(self, z):
-        return 1j * (1.0 + z) / (1.0 - z)
-
-    def _deriv(self, z):
+    def _eval_deriv(self, z, d):
         one_minus = 1.0 - z
-        return 2j / (one_minus * one_minus)
+        return 1j * (1.0 + z) / one_minus, None if d is None else d * (2j / (one_minus * one_minus))
 
     def closed_inverse(self):
         return CayleyInverse()
@@ -367,12 +350,9 @@ class CayleyInverse(MapEvaluator):
     domain = Domain.HALF_PLANE
     codomain = Domain.DISK
 
-    def _eval(self, z):
-        return (z - 1j) / (z + 1j)
-
-    def _deriv(self, z):
+    def _eval_deriv(self, z, d):
         den = z + 1j
-        return 2j / (den * den)
+        return (z - 1j) / den, None if d is None else d * (2j / (den * den))
 
     def closed_inverse(self):
         return Cayley()
@@ -433,15 +413,17 @@ class SlitStep(MapEvaluator):
         # summed in step order, as folding the steps' tails one by one does
         return Tail(1.0, 0.0, self._sign * float(np.cumsum(self._caps)[-1]))
 
+    def _eval_deriv(self, z, d):
+        cs = 2.0 * self._sign * self._caps
+        return slit_walk(z, d, self._lams.tolist(), cs.tolist(), None)
+
+    # kept only because perfbench/tracer.py wraps these two names to count
+    # slit work: _eval is the base method, and nothing here calls _deriv
     def _eval(self, z):
         return self._eval_deriv(z, None)[0]
 
     def _deriv(self, z):
         return self._eval_deriv(z, np.ones_like(z))[1]
-
-    def _eval_deriv(self, z, d):
-        cs = 2.0 * self._sign * self._caps
-        return slit_walk(z, d, self._lams.tolist(), cs.tolist(), None)
 
     def closed_inverse(self):
         flipped = "grow" if self.direction == "erase" else "erase"
@@ -468,12 +450,9 @@ class DiskAutomorphism(MapEvaluator):
         if abs(self.a) >= 1.0:
             raise InvalidMap("disk automorphism needs |a| < 1")
 
-    def _eval(self, z):
-        return (z - self.a) / (1.0 - np.conj(self.a) * z)
-
-    def _deriv(self, z):
+    def _eval_deriv(self, z, d):
         den = 1.0 - np.conj(self.a) * z
-        return (1.0 - abs(self.a) ** 2) / (den * den)
+        return (z - self.a) / den, None if d is None else d * ((1.0 - abs(self.a) ** 2) / (den * den))
 
     def closed_inverse(self):
         return DiskAutomorphism(-self.a)
@@ -525,15 +504,15 @@ class GenericCallable(MapEvaluator):
         if np.any((gaps < 1e-12) & (seps > 1e-9)):
             raise InvalidMap("spot injectivity check failed on 200-point grid")
 
-    def _eval(self, z):
+    def _eval_deriv(self, z, d):
         out = np.asarray(self.func(z), dtype=complex)
-        return np.broadcast_to(out, np.shape(z)).copy() if out.shape != np.shape(z) else out
-
-    def _deriv(self, z):
+        w = np.broadcast_to(out, np.shape(z)).copy() if out.shape != np.shape(z) else out
+        if d is None:
+            return w, None
         if self.dfunc is not None:
-            return np.asarray(self.dfunc(z), dtype=complex)
+            return w, d * np.asarray(self.dfunc(z), dtype=complex)
         h = 1e-6 * (1.0 + np.abs(z))
-        return (self._eval(z + h) - self._eval(z - h)) / (2.0 * h)
+        return w, d * ((self._eval(z + h) - self._eval(z - h)) / (2.0 * h))
 
 
 _INVERSE_KINDS = {("cayley", "cayley_inverse"), ("cayley_inverse", "cayley")}
@@ -584,16 +563,10 @@ class Composition(MapEvaluator):
                 return None
         return running
 
-    def _eval(self, z):
-        for f in self.parts:
-            z = f._eval(z)
-        return z
-
-    def _deriv(self, z):
-        d = np.ones_like(z)
+    def _eval_deriv(self, z, d):
         for f in self.parts:
             z, d = f._eval_deriv(z, d)
-        return d
+        return z, d
 
     def closed_inverse(self):
         inv = []
@@ -666,11 +639,10 @@ def invert_numeric(m: MapEvaluator, w: complex, seed: complex) -> complex:
     z = complex(seed)
     target = NEWTON_TOL * (1.0 + abs(w))
     for _ in range(NEWTON_MAX_ITER):
-        arr = np.asarray(z, dtype=complex)
-        val = complex(m._eval(arr)[()])
+        # the value and the derivative from one walk of the tree
+        val, der = map(complex, m._eval_deriv(np.asarray(z, dtype=complex), np.ones((), complex)))
         if abs(val - w) <= target:
             return z
-        der = complex(m._deriv(arr)[()])
         if abs(der) < 1e-14:
             raise DerivativeVanishes(f"|m'| = {abs(der):.2e} at iterate {z}")
         z = z - (val - w) / der

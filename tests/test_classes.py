@@ -356,6 +356,16 @@ class TestClassify:
         if report.memberships["P0"]:
             assert report.memberships["P"]
 
+    def test_density_measure_records_the_p0_failure(self):
+        # is_p0's sample at y = 0.01 exhausts the density quadrature; classify
+        # records that as a diagnostic instead of raising
+        mu = MeasureSpec.from_spec({"atoms": [], "density": [[-0.5, 0.5, [1.0]]]})
+        report = classify(build_from_measure(mu))
+        assert "did not settle" in report.diagnostics["p0_error"]
+        assert "p0_sup" not in report.diagnostics
+        assert report.memberships["P0"] is False and report.memberships["P"]
+        assert abs(report.ell - 1.0) < 1e-9
+
     def test_translation_report(self):
         report = classify(Affine(1.0, 1j))
         assert not report.memberships["P0"]

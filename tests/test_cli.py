@@ -396,3 +396,62 @@ class TestDemo:
         t, u_re, u_im, re_p0 = (float(x) for x in rows[0].split(","))
         assert (u_re, u_im) == (-1.0, 0.0)  # boundary image of lambda = 0
         assert abs(re_p0 - 0.5) < 1e-15
+
+
+class TestBadFlagValues:
+    """A non-finite or out-of-range flag value exits 2 with a message that
+    names the flag, and writes nothing."""
+
+    @staticmethod
+    def _run(tmp_path, argv, capsys):
+        driving = write(tmp_path / "d.csv", "t,lambda\n0,0\n1,0.5\n")
+        points = write(tmp_path / "p.csv", "re,im\n1,1\n0,2\n")
+        out = tmp_path / "o"
+        extra = {
+            "evolve": ["--driving", driving, "--points", points, "--out", str(out)],
+            "trace": ["--driving", driving, "--out", str(out)],
+            "demo": ["--out", str(out)],
+            "chain": ["--driving", driving, "--out", str(out)],
+            "family-verify": ["--out", str(out)],
+        }[argv[0]]
+        code = main(argv + extra)
+        return code, capsys.readouterr().err, out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trace", "--grid", "0:nan:5"], "--grid"),
+        (["trace", "--grid=-inf:1:5"], "--grid"),
+        (["demo", "spiral", "--tau-max", "nan"], "--tau-max"),
+        (["demo", "spiral", "--tau-max", "inf"], "--tau-max"),
+        (["chain", "--family", "slit", "--basepoint", "nan,2", "--grid", "0.1:1:5"], "--basepoint"),
+        (["chain", "--family", "slit", "--basepoint", "0,inf", "--grid", "0.1:1:5"], "--basepoint"),
+        (["chain", "--family", "scaled-disks", "--order", "nan", "--grid", "0:1:5"], "--order"),
+        (["evolve", "--from", "nan", "--to", "1"], "--from"),
+        (["evolve", "--from", "0", "--to", "inf"], "--to"),
+    ])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, argv, flag):
+        code, err, wrote = self._run(tmp_path, argv, capsys)
+        assert code == 2 and flag in err and "finite" in err
+        assert not wrote
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["chain", "--family", "scaled-disks", "--order", "abc", "--grid", "0:1:5"], "--order"),
+        (["chain", "--family", "scaled-disks", "--order", "0.5", "--grid", "0:1:5"], "--order"),
+        (["chain", "--family", "scaled-disks", "--gamma", "t**", "--grid", "0:1:5"], "--gamma"),
+        (["chain", "--family", "scaled-disks", "--gamma", "log(t)", "--grid", "0:1:5"], "--gamma"),
+        (["chain", "--family", "scaled-disks", "--gamma", "1/t", "--grid", "0:1:5"], "--gamma"),
+        (["chain", "--family", "scaled-disks", "--gamma", "t*1e308*10", "--grid", "0:1:5"], "--gamma"),
+        (["family-verify", "--family", "radial", "--triples", "0"], "--triples"),
+        (["family-verify", "--family", "radial", "--triples", "-3"], "--triples"),
+    ])
+    def test_bad_value_exit_2(self, tmp_path, capsys, argv, flag):
+        code, err, wrote = self._run(tmp_path, argv, capsys)
+        assert code == 2 and flag in err and "Traceback" not in err
+        assert not wrote
+
+    def test_plain_density_measure_classifies(self, tmp_path):
+        spec = write(tmp_path / "m.json",
+                     '{"kind": "measure_map", "measure": {"atoms": [], "density": [[-0.5, 0.5, [1.0]]]}}')
+        out = tmp_path / "r.json"
+        assert main(["classify", "--map", spec, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["memberships"]["P0"] is False and "p0_error" in rep["diagnostics"]

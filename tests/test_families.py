@@ -102,6 +102,18 @@ class TestEvaluateMany:
         with pytest.raises(InvalidMap, match="of one length"):
             fam.evaluate_many(s, t, z)
 
+    @pytest.mark.parametrize("make", [radial_family, translation_family])
+    @pytest.mark.parametrize("s, t, z", [
+        # a third point past the pairs used to come back as uninitialized memory
+        ([0.0, 0.0], [1.0, 1.0], [0.1j, 0.2j, 0.3j]),
+        ([0.0, 0.0], [1.0, 1.0], [0.1j]),
+        ([0.0, 0.0], [1.0], [0.1j, 0.2j]),
+        ([[0.0]], [[1.0]], [[0.1j]]),
+    ])
+    def test_length_mismatch_rejected_without_a_driving_term(self, make, s, t, z):
+        with pytest.raises(InvalidMap, match="of one length"):
+            make().evaluate_many(s, t, z)
+
     @pytest.mark.parametrize("side, z", [("disk", [0.1, 1.0]), ("half", [0.5j, 0.5 - 1e-3j])])
     def test_boundary_point_rejected(self, side, z):
         fam = sin33_family() if side == "disk" else sin33_family().half_plane_side()

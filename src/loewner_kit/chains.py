@@ -31,11 +31,11 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chordal import evolution_operator
+from .chordal import _uniformizer_walk, evolution_operator
 from .classes import class_c_check
 from .driving import knot_lookup, knot_table
 from .errors import InvalidMap, OracleFailure, RangeMismatch
-from .maps import conjugate_by_cayley, slit_walk
+from .maps import conjugate_by_cayley
 from .regularity import (
     AdmissibilityVerdict,
     ContinuityVerdict,
@@ -170,42 +170,20 @@ def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
     growing steps over [t, horizon]) as 2 Im U_t(w) / |U_t'(w)|.  A basepoint
     inside the remaining hull is reported via :class:`OracleFailure`.
 
-    Both oracles walk w once through the step partition, last step first:
-    for t in step j = [t_j, t_{j+1}), U_t = G_[t, t_{j+1}] o U_{t_{j+1}},
-    so each t costs one clipped grow step after the state stored at
-    t_{j+1}.  Membership is Im U_t(w) > _SWALLOW_TOL on the radius's walk
-    without the derivative.  The floats are those of
-    ``hull_uniformizer(driving, t)``'s own walk, bit for bit.
+    Both oracles take their states from one backward walk of w through the
+    step partition (``chordal._uniformizer_walk``), with the floats of
+    ``hull_uniformizer(driving, t)``'s own walk, bit for bit.  Membership
+    is Im U_t(w) > _SWALLOW_TOL on that walk without the derivative.
     """
-    horizon = driving.horizon
-    t0s, t1s, lams = driving.segments(0.0, horizon).T.tolist()
-    cs = [2.0 * (t1 - t0) for t0, t1 in zip(t0s, t1s)]
-    n = len(lams)
-
-    def walk(ts: np.ndarray, z, d) -> list:
-        """(U_t, d U_t') at the 0-d point z for each t; None for t >= horizon."""
-        if not np.all(ts >= 0.0):
-            raise InvalidMap(f"need t >= 0, got t = {ts[~(ts >= 0.0)][0]}")
-        rows = np.searchsorted(t1s, ts, side="right").tolist()
-        # after[n - 1 - j]: the state over [t_{j+1}, horizon]; each step
-        # leaves numpy scalars, as the run's own walk does
-        after = [(z, d)]
-        first = min(rows, default=n)
-        slit_walk(z, d, lams[:first:-1], cs[:first:-1], lambda _, *state: after.append(state))
-        return [
-            None if j == n
-            else slit_walk(*after[n - 1 - j], (lams[j],), (2.0 * (t1s[j] - t),), None)
-            for t, j in zip(ts.tolist(), rows)
-        ]
 
     def radius(ts: np.ndarray, w: complex) -> np.ndarray:
-        if w.imag <= 0:
+        if not (w.imag > 0 and cmath.isfinite(w)):
             raise OracleFailure(f"basepoint {w} is not in the half-plane")
         z = np.asarray(w, dtype=complex)
         # At the slit tip a step divides by a zero root, and the value check
         # rejects that point before the derivative is read.
         with np.errstate(divide="ignore", invalid="ignore"):
-            states = walk(ts, z, np.ones_like(z))
+            states = _uniformizer_walk(driving, ts, z, np.ones_like(z))
         out = []
         for t, state in zip(ts.tolist(), states):
             if state is None:
@@ -220,14 +198,14 @@ def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
     def contains(ts: np.ndarray, w: complex) -> np.ndarray:
         if w.imag <= 0:
             return np.zeros(len(ts), dtype=bool)
-        states = walk(ts, np.asarray(w, dtype=complex), None)
+        states = _uniformizer_walk(driving, ts, np.asarray(w, dtype=complex), None)
         inside = [s is None or complex(s[0]).imag > _SWALLOW_TOL for s in states]
         return np.array(inside, dtype=bool)
 
     probes = (basepoint + 1j, basepoint + 2.0 + 1j, -1.5 + 0.8j)
     return DomainFamily(
         "slit_half_plane", basepoint, radius, contains, probes,
-        probe_times=(0.0, 0.5 * horizon, horizon),
+        probe_times=(0.0, 0.5 * driving.horizon, driving.horizon),
         params={"driving": driving},
     )
 

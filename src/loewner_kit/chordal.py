@@ -16,6 +16,7 @@ inside trace computation and hull uniformizers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -115,14 +116,12 @@ def evolve_slices(driving: DrivingFunction, s, t, z) -> np.ndarray:
     raises :class:`StepCollision` (README, *Conventions*).
     """
     s, t, w = _slices(s, t, z)
-    if np.any(w.imag <= 0.0):
-        raise InvalidMap("solve_phi needs points with Im z > 0")
-    check_windows(s, t, driving.horizon)
+    if not np.all(np.isfinite(w) & (w.imag > 0.0)):
+        raise InvalidMap("solve_phi needs finite points with Im z > 0")
+    first, last = driving._rows(s, t)
     low = w.imag < 2.0 * COLLISION_TOL
     steps = driving._steps
-    first = np.searchsorted(steps[:, 1], s, side="right")
-    last = np.searchsorted(steps[:, 0], t, side="left") - 1
-    live = np.flatnonzero((s < t) & (first <= last))
+    live = np.flatnonzero(first <= last)
     a, b = first[live], last[live]
     lams = steps[:, 2].tolist()
     cs = (-2.0 * (steps[:, 1] - steps[:, 0])).tolist()
@@ -150,6 +149,33 @@ def evolve_slices(driving: DrivingFunction, s, t, z) -> np.ndarray:
             caps = (-2.0 * (t1 - t0),)
         w[k] = slit_walk(w[k], None, lams[j0:j1], caps, collide if low[k].any() else None)[0]
     return w
+
+
+def _uniformizer_walk(driving: DrivingFunction, ts: np.ndarray, z, d) -> list:
+    """(U_t(z), d U_t'(z)) at the 0-d point z for each time t of ``ts``, U_t
+    the map of :func:`hull_uniformizer`; None for t >= horizon.
+
+    One walk of z through the step partition, last row first: for t in row
+    j = [t_j, t_{j+1}), U_t = G_[t, t_{j+1}] o U_{t_{j+1}}, so each t costs
+    one clipped grow step after the state stored at t_{j+1}.  The floats
+    are those of ``hull_uniformizer(driving, t)``'s own walk, bit for bit.
+    Each t is checked as the window [min(t, horizon), horizon].
+    """
+    h = driving.horizon
+    rows = [x.tolist() for x in driving._rows(np.minimum(ts, h), np.full(np.shape(ts), h))]
+    t0s, t1s, lams = driving._steps.T.tolist()
+    cs = [2.0 * (t1 - t0) for t0, t1 in zip(t0s, t1s)]
+    n = len(lams)
+    # after[n - 1 - j]: the state over [t_{j+1}, horizon]; each step leaves
+    # numpy scalars, as the run's own walk does
+    after = [(z, d)]
+    top = min(rows[0], default=n)
+    slit_walk(z, d, lams[:top:-1], cs[:top:-1], lambda _, *state: after.append(state))
+    return [
+        None if k < j
+        else slit_walk(*after[n - 1 - j], (lams[j],), (2.0 * (t1s[j] - t),), None)
+        for t, j, k in zip(ts.tolist(), *rows)
+    ]
 
 
 def hull_uniformizer(driving: DrivingFunction, t: float) -> MapEvaluator:
@@ -224,10 +250,10 @@ class TraceSample:
     tip: complex
 
     def __post_init__(self):
-        if self.t < 0:
-            raise InvalidMap("trace time must be nonnegative")
-        if self.tip.imag < -1e-12:
-            raise InvalidMap("trace tip must lie in the closed half-plane")
+        if not 0.0 <= self.t < math.inf:
+            raise InvalidMap("trace time must be finite and nonnegative")
+        if not (cmath.isfinite(self.tip) and self.tip.imag >= -1e-12):
+            raise InvalidMap("trace tip must be finite and lie in the closed half-plane")
 
 
 def trace_from_driving(
@@ -243,10 +269,10 @@ def trace_from_driving(
     partition, so accuracy is controlled by its resolution.
     """
     times = [float(u) for u in grid]
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if not all(a < b for a, b in zip(times, times[1:])):
         raise InvalidMap("trace grid must be strictly increasing")
-    if times and (times[0] < 0.0 or times[-1] > driving.horizon + 1e-12):
-        raise InvalidMap("trace grid must lie within [0, horizon]")
+    if times:
+        check_windows(times[0], times[-1], driving.horizon)
     out: List[TraceSample] = []
     work = [u for u in times]
     if work and work[0] == 0.0:
@@ -292,9 +318,9 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
     )
     if pts.size == 0:
         raise InvalidMap("extract_driving needs at least the root point")
-    if abs(pts[0].imag) > 1e-9:
+    if not (cmath.isfinite(pts[0]) and abs(pts[0].imag) <= 1e-9):
         raise InvalidMap(f"polyline must start on the real axis, got {pts[0]}")
-    if pts.size > 1 and np.any(pts[1:].imag <= 0.0):
+    if not np.all(np.isfinite(pts[1:]) & (pts[1:].imag > 0.0)):
         raise InvalidMap("polyline must lie strictly inside the half-plane after the root")
     same = np.flatnonzero(pts[1:] == pts[:-1])
     if same.size:

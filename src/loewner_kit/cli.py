@@ -187,6 +187,12 @@ def _finite(value, flag: str) -> float:
     return x
 
 
+def _at_least(value: int, least: int, flag: str) -> None:
+    """Raise a :class:`ParseError` naming ``flag`` when ``value`` < ``least``."""
+    if value < least:
+        raise ParseError(f"{flag} needs at least {least}, got {value}")
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         t0, t1, n = spec.split(":")
@@ -241,6 +247,7 @@ def _gamma_from_expr(expr: str):
 
 def _cmd_evolve(args) -> int:
     s, t = _finite(args.time_from, "--from"), _finite(args.time_to, "--to")
+    _at_least(args.threads, 1, "--threads")
     driving = parse_driving_csv(args.driving, args.interp, args.horizon, args.nsub)
     pts = _parse_points_csv(args.points)
 
@@ -324,8 +331,8 @@ def _cmd_family_verify(args) -> int:
         _load_family_spec(args)
     if not args.family:
         raise ParseError("need --family or --family-spec")
-    if args.triples < 1:
-        raise ParseError(f"--triples needs at least 1, got {args.triples}")
+    _at_least(args.triples, 1, "--triples")
+    _at_least(args.seed, 0, "--seed")
     t_hi = 1.5
     if args.family == "radial":
         fam, chain = radial_family(), radial_chain()
@@ -398,6 +405,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    _at_least(args.n, 0, "--n")
     if args.scenario == "spiral":
         taus = np.linspace(0.0, _finite(args.tau_max, "--tau-max"), args.n)
         rows = []

@@ -112,10 +112,8 @@ class DrivingFunction:
 
     def value(self, t):
         """lambda at a time, or at each of an array of times, in [0, horizon]."""
-        arr = np.asarray(t, dtype=float)
-        if np.any((arr < 0.0) | (arr > self.horizon + 1e-12)):
-            raise InvalidMap(f"t = {t} outside [0, {self.horizon}]")
-        return knot_lookup(self._table, arr, self.mode == "linear")
+        check_windows(t, t, self.horizon)
+        return knot_lookup(self._table, t, self.mode == "linear")
 
     @cached_property
     def _steps(self) -> np.ndarray:
@@ -135,6 +133,14 @@ class DrivingFunction:
         steps.flags.writeable = False
         return steps
 
+    def _rows(self, s, t):
+        """First and last partition row met by each window [s, t] (times or equal-shape
+        arrays), after :func:`check_windows`; an empty window (s == t) has last < first."""
+        check_windows(s, t, self.horizon)
+        first = np.searchsorted(self._steps[:, 1], s, side="right")
+        end = np.searchsorted(self._steps[:, 0], t, side="left")
+        return first, first - 1 + (s < t) * (end - first)  # np.where takes 5 us on scalars
+
     def segments(self, s: float, t: float) -> np.ndarray:
         """Steps over [s, t]: an (n, 3) array of rows (t0, t1, lambda).
 
@@ -147,12 +153,8 @@ class DrivingFunction:
         linear mode.  So the steps over [s, u] and [u, t] tile those over
         [s, t], and transition maps compose up to round-off.
         """
-        check_windows(s, t, self.horizon)
-        if t <= s:
-            return np.empty((0, 3))
-        steps = self._steps
-        first = np.searchsorted(steps[:, 1], s, side="right")
-        out = steps[first : np.searchsorted(steps[:, 0], t, side="left")].copy()
+        first, last = self._rows(s, t)
+        out = self._steps[first : last + 1].copy()
         if len(out):
             out[0, 0], out[-1, 1] = s, t
         return out

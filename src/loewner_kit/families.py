@@ -10,8 +10,7 @@ radii along a chain, conjugation by boundary-derivative schedules, and the
 capacity-regularity structure of hydrodynamically normalized families.
 
 Absolute-continuity claims are tested as numerical proxies and labelled as
-such in the reports; nothing here certifies regularity.  The common
-boundary fixed point is only ever checked at the declared location.
+such in the reports; nothing here certifies regularity.
 """
 
 from __future__ import annotations
@@ -82,16 +81,14 @@ class FamilyHandle:
 
     The identity axiom is probed at construction: maker(s, s) must be the
     identity to 1e-12 on a small interior grid, at three times in [0, 1]
-    and before the horizon of ``driving``.  ``fixed_point`` declares the
-    common boundary fixed point when there is one (checks never search for
-    an undeclared one).  ``driving`` is set by :func:`chordal_family`, whose
-    maps are Cayley conjugates of slices of that driving term's step
-    partition; :meth:`evaluate_many` then walks all its slices in one pass.
+    and before the horizon of ``driving``.  ``driving`` is set by
+    :func:`chordal_family`, whose maps are Cayley conjugates of slices of
+    that driving term's step partition; :meth:`evaluate_many` then walks
+    all its slices in one pass.
     """
 
     maker: Callable[[float, float], MapEvaluator]
     domain: Domain = Domain.DISK
-    fixed_point: Optional[complex] = None
     driving: Optional[DrivingFunction] = None
 
     def __post_init__(self):
@@ -134,22 +131,12 @@ class FamilyHandle:
         return CAYLEY_INV._eval(evolve_slices(self.driving, s, t, CAYLEY._eval(z)))
 
     def disk_side(self) -> "FamilyHandle":
-        """Same family conjugated to the disk (no-op when already there).
-
-        A half-plane family fixing infinity lands at the boundary point 1.
-        """
+        """Same family conjugated to the disk (no-op when already there)."""
         if self.domain is Domain.DISK:
             return self
-        if self.fixed_point is None:
-            fp: Optional[complex] = 1.0 + 0.0j
-        elif self.fixed_point.imag > 0:
-            fp = complex(CAYLEY_INV.evaluate(self.fixed_point))
-        else:
-            fp = complex((self.fixed_point - 1j) / (self.fixed_point + 1j))
         return FamilyHandle(
             lambda s, t: conjugate_by_cayley(self.maker(s, t)),
             Domain.DISK,
-            fp,
             self.driving,
         )
 
@@ -159,7 +146,6 @@ class FamilyHandle:
         return FamilyHandle(
             lambda s, t: conjugate_by_cayley(self.maker(s, t)),
             Domain.HALF_PLANE,
-            None,
             self.driving,
         )
 
@@ -460,7 +446,7 @@ def conjugate_family(fam: FamilyHandle, schedule: DerivativeSchedule) -> FamilyH
     """Impose a boundary-derivative schedule on a parabolic-type family.
 
     The input family must fix the boundary point 1 with angular derivative
-    1 there (declared by construction).  The output family fixes 1 with
+    1 there, which is not checked.  The output family fixes 1 with
     derivative exp(lambda(s) - lambda(t)), realized by sandwiching between
     the disk automorphisms with Blaschke parameter
     a(t) = (e^lambda - 1)/(e^lambda + 1).
@@ -472,7 +458,7 @@ def conjugate_family(fam: FamilyHandle, schedule: DerivativeSchedule) -> FamilyH
         h_s = _schedule_mobius(schedule.blaschke_parameter(s))
         return compose(h_t_inv, base(s, t), h_s)
 
-    return FamilyHandle(maker, Domain.DISK, 1.0 + 0.0j)
+    return FamilyHandle(maker, Domain.DISK)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +579,6 @@ def radial_family() -> FamilyHandle:
     return FamilyHandle(
         lambda s, t: Affine(math.exp(s - t), 0.0, Domain.DISK, Domain.DISK),
         Domain.DISK,
-        fixed_point=0.0 + 0.0j,
     )
 
 
@@ -612,7 +597,7 @@ def translation_family() -> FamilyHandle:
         shift = Affine(1.0, 1j * (t - s), Domain.HALF_PLANE, Domain.HALF_PLANE)
         return compose(CAYLEY_INV, shift, CAYLEY)
 
-    return FamilyHandle(maker, Domain.DISK, fixed_point=1.0 + 0.0j)
+    return FamilyHandle(maker, Domain.DISK)
 
 
 def translation_chain() -> ChainHandle:
@@ -635,7 +620,6 @@ def chordal_family(driving) -> FamilyHandle:
     return FamilyHandle(
         lambda s, t: conjugate_by_cayley(evolution_operator(driving, s, t)),
         Domain.DISK,
-        fixed_point=1.0 + 0.0j,
         driving=driving,
     )
 

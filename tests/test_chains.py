@@ -76,6 +76,14 @@ class TestRadiusOracles:
             want = 2.0 * complex(u.evaluate(w)).imag / abs(complex(u.derivative(w)))
             assert fam.radius(t) == want
 
+    @pytest.mark.parametrize("w", [
+        complex(math.nan, 2.0), complex(0.0, math.nan), complex(math.inf, 2.0),
+    ])
+    def test_slit_non_finite_basepoint_rejected(self, w):
+        fam = slit_half_plane(DrivingFunction.constant(0.0, 1.0), basepoint=2j)
+        with pytest.raises(OracleFailure, match="not in the half-plane"):
+            fam.radius(0.5, w)
+
     def test_swallowed_basepoint(self):
         d = DrivingFunction.constant(0.0, 2.0)
         fam = slit_half_plane(d, basepoint=2j)

@@ -11,6 +11,7 @@ from loewner_kit import (
     DiskField,
     DrivingFunction,
     SlitStep,
+    TraceSample,
     cayley,
     cayley_inverse,
     conjugate_by_cayley,
@@ -112,6 +113,16 @@ class TestSolvePhi:
         d = DrivingFunction.constant(0.0, 1.0)
         with pytest.raises(InvalidMap):
             solve_phi(d, 0.0, 1.0, [1.0 + 0j])
+
+    @pytest.mark.parametrize("z", [
+        [complex(0.1, math.nan), complex(math.nan, 1.0)],
+        [0.5j, complex(math.inf, 1.0)],
+        [complex(0.0, math.inf)],
+    ])
+    def test_non_finite_point_rejected(self, z):
+        d = DrivingFunction.constant(0.0, 1.0)
+        with pytest.raises(InvalidMap, match="finite points"):
+            solve_phi(d, 0.0, 1.0, z)
 
     def test_collision_detected(self):
         # a point essentially sitting at the slit base on the real axis is
@@ -562,6 +573,17 @@ class TestTrace:
         tr = trace_from_driving(d, np.linspace(0.0, 1.0, 201))
         assert min(s.tip.imag for s in tr) >= 0.0
 
+    @pytest.mark.parametrize("t, tip", [
+        (math.nan, complex(0.0, math.nan)),
+        (math.nan, 1j),
+        (math.inf, 1j),
+        (0.5, complex(math.nan, 1.0)),
+        (0.5, complex(0.0, math.inf)),
+    ])
+    def test_non_finite_sample_rejected(self, t, tip):
+        with pytest.raises(InvalidMap, match="finite"):
+            TraceSample(t, tip)
+
 
 class TestExtract:
     def test_vertical_segment(self):
@@ -629,6 +651,15 @@ class TestExtract:
     def test_root_off_axis_rejected(self):
         with pytest.raises(InvalidMap):
             extract_driving([0.5j, 1j])
+
+    @pytest.mark.parametrize("pts, where", [
+        ([0j, complex(0.1, math.nan)], "half-plane after the root"),
+        ([0j, 1j, complex(math.inf, 1.0)], "half-plane after the root"),
+        ([complex(math.nan, 0.0), 1j], "real axis"),
+    ])
+    def test_non_finite_point_rejected(self, pts, where):
+        with pytest.raises(InvalidMap, match=where):
+            extract_driving(pts)
 
 
 class TestMpmathOracle:

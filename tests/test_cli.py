@@ -442,6 +442,11 @@ class TestBadFlagValues:
         (["chain", "--family", "scaled-disks", "--gamma", "t*1e308*10", "--grid", "0:1:5"], "--gamma"),
         (["family-verify", "--family", "radial", "--triples", "0"], "--triples"),
         (["family-verify", "--family", "radial", "--triples", "-3"], "--triples"),
+        (["family-verify", "--family", "radial", "--seed", "-1"], "--seed"),
+        (["demo", "spiral", "--n", "-1"], "--n"),
+        (["demo", "field", "--n", "-2"], "--n"),
+        (["evolve", "--from", "0", "--to", "1", "--threads", "0"], "--threads"),
+        (["evolve", "--from", "0", "--to", "1", "--threads", "-3"], "--threads"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, argv, flag):
         code, err, wrote = self._run(tmp_path, argv, capsys)

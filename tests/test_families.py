@@ -48,7 +48,6 @@ class TestFamilyHandle:
         fam = chordal_family(DrivingFunction.constant(0.0, 1.0)).half_plane_side()
         disk = fam.disk_side()
         assert disk.domain is Domain.DISK
-        assert disk.fixed_point == 1.0 + 0.0j
         z = 0.2 + 0.1j
         w = sample_half_plane(rng, 1)[0]
         assert abs(complex(disk(0.0, 0.5).evaluate(z))) < 1.0

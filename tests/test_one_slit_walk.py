@@ -89,7 +89,7 @@ WALK_CALLERS = {
     "erase_many",
     "grow_many",
     "evolve_slices",
-    "slit_half_plane.walk",
+    "_uniformizer_walk",
 }
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .chordal import _uniformizer_walk, evolution_operator
 from .classes import class_c_check
-from .driving import knot_lookup, knot_table
+from .driving import check_windows, knot_lookup, knot_table
 from .errors import InvalidMap, OracleFailure, RangeMismatch
 from .maps import conjugate_by_cayley
 from .regularity import (
@@ -196,7 +196,12 @@ def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
         return np.array(out)
 
     def contains(ts: np.ndarray, w: complex) -> np.ndarray:
-        if w.imag <= 0:
+        h = driving.horizon
+        # the walk's time check, also for a point that needs no walk
+        check_windows(np.minimum(ts, h), np.full(np.shape(ts), h), h)
+        if not cmath.isfinite(w):
+            raise InvalidMap(f"membership needs a finite point, got {w}")
+        if not w.imag > 0:
             return np.zeros(len(ts), dtype=bool)
         states = _uniformizer_walk(driving, ts, np.asarray(w, dtype=complex), None)
         inside = [s is None or complex(s[0]).imag > _SWALLOW_TOL for s in states]

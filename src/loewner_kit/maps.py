@@ -114,10 +114,11 @@ def slit_walk(z, d, lams, cs, each):
 
 
 def _check_domain(domain: Domain, z: np.ndarray) -> None:
-    if domain is Domain.DISK and np.any(np.abs(z) >= _DISK_EDGE):
+    # written so that NaN fails them: a non-finite point is no interior point
+    if domain is Domain.DISK and not np.all(np.abs(z) < _DISK_EDGE):
         raise BoundaryEvaluation("evaluation requires |z| < 1 - 1e-14 in the unit disk")
-    if domain is Domain.HALF_PLANE and np.any(z.imag <= 0.0):
-        raise BoundaryEvaluation("evaluation requires Im z > 0")
+    if domain is Domain.HALF_PLANE and not np.all(np.isfinite(z) & (z.imag > 0.0)):
+        raise BoundaryEvaluation("evaluation requires a finite z with Im z > 0")
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,24 @@ class TestMembership:
         assert fam.contains_fn(np.array([0.0, 1.0, 2.0]), 1.0 + 0j).tolist() == [False] * 3
         assert fam.contains_fn(np.array([]), 1j).tolist() == []
 
+    @pytest.mark.parametrize("w", [-1j, 1.0 + 0j, 1j])
+    def test_slit_membership_checks_times_first(self, w):
+        # a NaN or negative time fails for every point, also for one off the
+        # half-plane, which needs no walk
+        fam = slit_half_plane(DrivingFunction.constant(0.0, 2.0), basepoint=2j)
+        for t in (math.nan, -0.5):
+            with pytest.raises(InvalidMap, match=re.escape("need 0 <= s <= t <= horizon")):
+                fam.contains_fn(np.array([0.5, t]), w)
+
+    @pytest.mark.parametrize("w", [
+        complex(math.nan, 1.0), complex(0.5, math.nan), complex(math.inf, 1.0),
+        complex(0.0, -math.inf),
+    ])
+    def test_slit_membership_non_finite_point_rejected(self, w):
+        fam = slit_half_plane(DrivingFunction.constant(0.0, 2.0), basepoint=2j)
+        with pytest.raises(InvalidMap, match="finite point"):
+            fam.contains_fn(np.array([0.5]), w)
+
     def test_cut_disk_membership_over_times(self):
         fam = spiral_cut_disk(tau_max=20.0)
         ts = np.array([0.0, 4.0, 5.0, 5.01, 6.0, 20.0, 30.0])

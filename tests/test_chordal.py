@@ -721,6 +721,12 @@ class TestDiskField:
         with pytest.raises(PoleProximity):
             field.p(-1.0 + 1e-12j, 0.0)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0)])
+    def test_non_finite_point_rejected(self, z):
+        field = DiskField.from_driving(DrivingFunction.constant(0.0, 1.0))
+        with pytest.raises(InvalidMap, match=r"\|z\| < 1"):
+            disk_field_eval(field, z, 0.5)
+
 
 class TestDiskOde:
     def test_exponential_decay(self):
@@ -741,6 +747,12 @@ class TestDiskOde:
             cur = abs(solve_disk_ode(field, z0, 0.0, t))
             assert cur <= prev + 1e-10
             prev = cur
+
+    @pytest.mark.parametrize("z0", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0)])
+    def test_non_finite_start_rejected(self, z0):
+        field = DiskField.from_driving(DrivingFunction.constant(0.0, 1.0))
+        with pytest.raises(InvalidMap, match="inside the disk"):
+            solve_disk_ode(field, z0, 0.0, 1.0)
 
     def test_left_domain_guard(self):
         # an outward radial field pushes trajectories into the unit circle

@@ -80,6 +80,32 @@ class TestCayley:
             assert cayley(z).imag > 0
 
 
+class TestNonFinitePointsRejected:
+    """A point with a NaN or infinite part is no interior point of either
+    domain; the domain checks are written so that NaN fails them."""
+
+    @pytest.mark.parametrize("z", [
+        complex(0.1, math.nan), complex(math.nan, 1.0), complex(math.inf, 1.0),
+        complex(0.0, math.inf),
+    ])
+    def test_half_plane(self, z):
+        run = SlitStep(np.array([0.0, 0.3]), np.array([0.5, 0.5]), "erase")
+        for m in (run, CAYLEY_INV):
+            with pytest.raises(BoundaryEvaluation):
+                m.evaluate(z)
+            with pytest.raises(BoundaryEvaluation):
+                m.evaluate(np.array([0.5j, z]))
+
+    @pytest.mark.parametrize("z", [
+        complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+    ])
+    def test_disk(self, z):
+        with pytest.raises(BoundaryEvaluation):
+            CAYLEY.evaluate(z)
+        with pytest.raises(BoundaryEvaluation):
+            CAYLEY.derivative(np.array([0.1, z]))
+
+
 class TestSqrtBranch:
     @given(st.complex_numbers(max_magnitude=1e6, allow_infinity=False, allow_nan=False))
     def test_branch_squares_back(self, u):

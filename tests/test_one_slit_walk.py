@@ -7,6 +7,10 @@ branch rule, its derivative or the order of its float operations.  The
 scan is by name, so ``slit_root(...)`` and ``maps.slit_root(...)`` both
 count.  In the same way the walk has a fixed set of callers, one of them
 ``chordal.evolve_slices``, the one forward walker over the step partition.
+The one-step helpers ``erase_many`` and ``grow_many`` have a fixed set of
+callers too: the far field of a block of steps, ``chordal._far_field_walk``,
+and the two sweeps that call it, ``trace_from_driving`` and
+``extract_driving``.
 """
 
 import ast
@@ -21,6 +25,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "loewner_kit")
 KERNEL = "slit_root"
 WALK = "slit_walk"
+FAR_FIELD = "_far_field_walk"
 
 
 class _KernelCalls(ast.NodeVisitor):
@@ -47,8 +52,11 @@ class _KernelCalls(ast.NodeVisitor):
 
 
 class _WalkCalls(_KernelCalls):
-    """(path, line, enclosing scope) of each call of ``WALK``; the scope is
-    qualified by its enclosing classes and functions, as in ``A.f.g``."""
+    """(path, line, enclosing scope) of each call of one of ``names``; the
+    scope is qualified by its enclosing classes and functions, as in
+    ``A.f.g``."""
+
+    names = {WALK}
 
     def visit_ClassDef(self, node):
         self._functions.append(node.name)
@@ -57,9 +65,17 @@ class _WalkCalls(_KernelCalls):
 
     def visit_Call(self, node):
         func = node.func
-        if getattr(func, "id", getattr(func, "attr", None)) == WALK:
+        if getattr(func, "id", getattr(func, "attr", None)) in self.names:
             self.found.append((self.path, node.lineno, ".".join(self._functions) or "<module>"))
         self.generic_visit(node)
+
+
+class _StepCalls(_WalkCalls):
+    names = {"erase_many", "grow_many"}
+
+
+class _FarFieldCalls(_WalkCalls):
+    names = {FAR_FIELD}
 
 
 def _scan(package, visitor):
@@ -96,6 +112,22 @@ WALK_CALLERS = {
 def stray_walk_calls(package=PACKAGE):
     """Calls of the walk from anywhere but ``WALK_CALLERS``."""
     return [c for c in _scan(package, _WalkCalls) if c[2] not in WALK_CALLERS]
+
+
+# the far field, and the sweeps that walk the points inside a block
+# themselves: the tips seeded in a trace block, the tips read in an
+# extraction block
+STEP_CALLERS = {FAR_FIELD, "trace_from_driving", "extract_driving"}
+SWEEPS = ["extract_driving", "trace_from_driving"]
+
+
+def stray_step_calls(package=PACKAGE):
+    """Calls of ``erase_many``/``grow_many`` from anywhere but ``STEP_CALLERS``."""
+    return [c for c in _scan(package, _StepCalls) if c[2] not in STEP_CALLERS]
+
+
+def far_field_callers(package=PACKAGE):
+    return sorted(c[2] for c in _scan(package, _FarFieldCalls))
 
 
 def test_slit_root_is_called_only_by_the_walk():
@@ -176,6 +208,37 @@ def test_walk_scan_flags_a_second_walker(tmp_path):
         ("chordal.py", 8, "solve_phi"),
         ("chordal.py", 15, "SlitStep._eval"),
     ]
+
+
+def test_one_far_field_for_both_sweeps():
+    # a second block walker, such as a far field of its own in one sweep,
+    # is a second copy of the radius, the series and its check
+    assert stray_step_calls() == []
+    assert far_field_callers() == SWEEPS
+
+
+def test_step_scan_flags_a_second_block_walker(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "chordal.py").write_text(textwrap.dedent("""
+        def _far_field_walk(grow, lams, caps, w):
+            for lam, cap in zip(lams, caps):
+                w = grow_many(w, lam, cap)
+            return w
+
+        def trace_from_driving(driving, grid):
+            return _far_field_walk(False, [], [], erase_many(grid, 0.0, 1.0))
+
+        def extract_driving(trace):
+            return _blocks(trace)
+
+        def _blocks(w):
+            for lam in (0.0, 1.0):
+                w = grow_many(w, lam, 0.5)
+            return w
+    """))
+    assert stray_step_calls(str(pkg)) == [("chordal.py", 15, "_blocks")]
+    assert far_field_callers(str(pkg)) == ["trace_from_driving"]
 
 
 def test_interior_points_walk_without_the_collision_check(monkeypatch):

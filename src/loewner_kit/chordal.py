@@ -94,29 +94,37 @@ def evolution_operator(driving: DrivingFunction, s: float, t: float) -> MapEvalu
     return SlitStep(segs[:, 2], segs[:, 1] - segs[:, 0], "erase")
 
 
-def _slices(s, t, z):
-    """Float ``s``, ``t`` and a complex copy of ``z``: 1-d, of one length."""
+def _slices(s, t, z, d):
+    """Float ``s``, ``t`` and complex copies of ``z`` and of ``d`` (or None):
+    1-d, of one length."""
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
     w = np.array(z, dtype=complex)
     if not (w.ndim == 1 and s.shape == t.shape == w.shape):
         raise InvalidMap(f"need 1-d s, t and z of one length, got {s.shape}, {t.shape}, {w.shape}")
-    return s, t, w
+    if d is not None:
+        d = np.array(d, dtype=complex)
+        if d.shape != w.shape:
+            raise InvalidMap(f"need d of z's shape {w.shape}, got {d.shape}")
+    return s, t, w, d
 
 
-def evolve_slices(driving: DrivingFunction, s, t, z) -> np.ndarray:
+def evolve_slices(driving: DrivingFunction, s, t, z, d=None):
     """phi_{s_i, t_i}(z_i) for every i of equal-length 1-d arrays, in one
-    pass over the driving term's step partition.
+    pass over the driving term's step partition.  Given an array ``d`` of
+    the same length, the pair (phi(z), d phi'(z)), the chain rule carried
+    as in :func:`~loewner_kit.maps.slit_walk`.
 
     Point i takes the steps of ``driving.segments(s_i, t_i)`` in order.  A
     window's first and last rows are one-step walks with each point's
     clipped capacity; between event rows (those and the rows after them)
     every window covering a stretch walks it as one run.  So the result
-    equals ``evolution_operator(driving, s_i, t_i).evaluate`` of an array
-    bit for bit.  Every point and window is validated before any walking,
-    and a point that comes within ``COLLISION_TOL`` of the driving value
-    raises :class:`StepCollision` (README, *Conventions*).
+    equals that of ``evolution_operator(driving, s_i, t_i)`` on an array
+    (``evaluate``, or ``_eval_deriv`` with ``d``) bit for bit.  Every point
+    and window is validated before any walking, and a point that comes
+    within ``COLLISION_TOL`` of the driving value raises
+    :class:`StepCollision` (README, *Conventions*).
     """
-    s, t, w = _slices(s, t, z)
+    s, t, w, d = _slices(s, t, z, d)
     if not np.all(np.isfinite(w) & (w.imag > 0.0)):
         raise InvalidMap("solve_phi needs finite points with Im z > 0")
     first, last = driving._rows(s, t)
@@ -148,8 +156,11 @@ def evolve_slices(driving: DrivingFunction, s, t, z) -> np.ndarray:
             t0 = np.where(a[on] == j0, s[k], steps[j0, 0])
             t1 = np.where(b[on] == j0, t[k], steps[j0, 1])
             caps = (-2.0 * (t1 - t0),)
-        w[k] = slit_walk(w[k], None, lams[j0:j1], caps, collide if low[k].any() else None)[0]
-    return w
+        dk = None if d is None else d[k]
+        w[k], dk = slit_walk(w[k], dk, lams[j0:j1], caps, collide if low[k].any() else None)
+        if d is not None:
+            d[k] = dk
+    return w if d is None else (w, d)
 
 
 def _uniformizer_walk(driving: DrivingFunction, ts: np.ndarray, z, d) -> list:

@@ -270,6 +270,12 @@ class P0Report:
     edge_growth_ratio: float
 
 
+def _p0_axis() -> np.ndarray:
+    """The points iy at which :func:`is_p0` samples: 49 values of y on a
+    log grid of [1e-2, 1e4]."""
+    return 1j * np.logspace(-2.0, 4.0, 49)
+
+
 def is_p0(g: MapEvaluator) -> P0Report:
     """Numerical membership proxy for the hydrodynamic class.
 
@@ -279,10 +285,13 @@ def is_p0(g: MapEvaluator) -> P0Report:
     supremum over all y; inconclusive data lowers the confidence field
     instead of raising.
     """
-    g = _half_plane_side(g)
-    ys = np.logspace(-2.0, 4.0, 49)
-    z = 1j * ys
-    w = g.evaluate(z)
+    return _p0_report(_half_plane_side(g).evaluate(_p0_axis()))
+
+
+def _p0_report(w: np.ndarray) -> P0Report:
+    """The verdict of :func:`is_p0` from the values G(iy) at ``_p0_axis()``."""
+    z = _p0_axis()
+    ys = z.imag
     d = np.abs(w - z)
     s = ys * (w.imag - ys)
     sup_s = float(np.max(s))

@@ -141,6 +141,21 @@ class DrivingFunction:
         end = np.searchsorted(self._steps[:, 0], t, side="left")
         return first, first - 1 + (s < t) * (end - first)  # np.where takes 5 us on scalars
 
+    def capacity(self, t):
+        """Half-plane capacity of the erasing map over [0, t], at a time or
+        an array of times: the lengths of the rows of ``segments(0, t)``
+        summed in order, as ``np.cumsum`` sums, so it equals the tail of
+        that run (``ell(evolution_operator(self, 0, t))``) bit for bit, and
+        0 at t = 0.
+        """
+        t = np.asarray(t, dtype=float)
+        _, last = self._rows(np.zeros_like(t), t)
+        t0, t1 = self._steps[:, 0], self._steps[:, 1]
+        prefix = np.concatenate(([0.0], np.cumsum(t1 - t0)))
+        row = np.maximum(last, 0)
+        out = np.where(last < 0, 0.0, prefix[row] + (t - t0[row]))
+        return float(out) if out.ndim == 0 else out
+
     def segments(self, s: float, t: float) -> np.ndarray:
         """Steps over [s, t]: an (n, 3) array of rows (t0, t1, lambda).
 

@@ -26,6 +26,7 @@ from loewner_kit import (
     MeasureSpec,
     Moebius,
     SlitStep,
+    chordal,
     compose,
     conjugate_by_cayley,
     invert_numeric,
@@ -290,15 +291,28 @@ def walked(monkeypatch):
     return points
 
 
-def test_beta_walks_once(walked):
+def test_beta_walks_once(monkeypatch):
+    # one pass of evolve_slices over the rows of [0, t] carries the value
+    # and the derivative: each row is walked once, with the derivative
     ts = np.linspace(0.0, 1.0, 33)
     fam = chordal_family(DrivingFunction.from_samples(ts, np.sin(3.0 * ts), "linear"))
+    steps = []
+    walk = chordal.slit_walk
+
+    def recording(z, d, lams, cs, each):
+        assert d is not None
+        steps.extend(lams)
+        return walk(z, d, lams, cs, each)
+
+    monkeypatch.setattr(chordal, "slit_walk", recording)
+    z = np.array([0.1 + 0.2j])
     for t in (0.25, 0.5, 1.0):
-        walked.clear()
-        b = beta(fam, 0.1 + 0.2j, t)
-        assert len(walked) == 1
-        phi = fam.disk_side()(0.0, t)
-        assert b == abs(phi.derivative(0.1 + 0.2j)) / (1.0 - abs(phi.evaluate(0.1 + 0.2j)) ** 2)
+        steps.clear()
+        b = beta(fam, z[0], t)
+        assert len(steps) == len(fam.driving.segments(0.0, t))
+        # the composition's one walk of a one-point array, bit for bit
+        w, d = fam.disk_side()(0.0, t)._eval_deriv(z, np.ones_like(z))
+        assert b == float((np.abs(d) / (1.0 - np.abs(w) ** 2))[0])
 
 
 def test_each_newton_iteration_walks_once(walked):

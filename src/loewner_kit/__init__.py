@@ -58,6 +58,7 @@ from .chordal import (
     TraceSample,
     disk_field_eval,
     evolution_operator,
+    evolve_points,
     evolve_slices,
     extract_driving,
     hull_uniformizer,

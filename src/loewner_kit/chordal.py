@@ -41,6 +41,7 @@ __all__ = [
     "erase_many",
     "grow_many",
     "solve_phi",
+    "evolve_points",
     "solve_phi_rk",
     "evolution_operator",
     "evolve_slices",
@@ -73,11 +74,59 @@ def solve_phi(
     points: Sequence[complex],
 ) -> np.ndarray:
     """Transition map of the erasing flow applied to a point or an array of
-    interior points: the window [s, t] of :func:`evolve_slices` for each."""
+    interior points: the window [s, t] of :func:`evolve_slices` for each,
+    every step exact.  :func:`evolve_points` is the faster far-field form."""
     w = np.asarray(points, dtype=complex)
     s, t = np.full((2, w.size), [[s], [t]], dtype=float)
     out = evolve_slices(driving, s, t, w.ravel())
     return out[0] if w.ndim == 0 else out.reshape(w.shape)
+
+
+def evolve_points(
+    driving: DrivingFunction,
+    s: float,
+    t: float,
+    points: Sequence[complex],
+) -> np.ndarray:
+    """:func:`solve_phi` with the window's interior rows in blocks of
+    ``FAR_BLOCK`` through the far field (:func:`_far_field_walk`), for the
+    ``evolve`` verb.
+
+    Points, window, shapes and messages are those of :func:`solve_phi`.
+    The clipped first row, the rows after the last full block and the
+    clipped last row walk exactly through :func:`evolve_slices`.  A point
+    that starts below Im w = 2 ``COLLISION_TOL`` walks the whole window
+    exactly, with the collision check, so :class:`StepCollision` names the
+    point and time that :func:`solve_phi` names; the others cannot collide.
+    Every block of interior rows takes a point further than ``FAR_RADIUS``
+    block radii from its center through its Laurent series, with an error
+    of at most ``FAR_TOL`` (|c| + rho) per block, and walks the others
+    exactly.  A point's floats depend on that point alone, not on the
+    other points of the array.  A window with fewer than ``FAR_BLOCK``
+    interior rows walks exactly, with the floats of :func:`solve_phi`.
+    """
+    w = np.asarray(points, dtype=complex)
+    z = w.ravel()
+    _check_points(z)
+    # no points, no window to check: as solve_phi
+    first, last = driving._rows(s, t) if z.size else (0, -1)
+    blocks = (last - first - 1) // FAR_BLOCK
+    if blocks < 1:
+        return solve_phi(driving, s, t, w)
+    steps = driving._steps
+    low = z.imag < 2.0 * COLLISION_TOL
+    # every point walks the clipped first row; those that can collide walk
+    # the whole window, with the check
+    z = evolve_slices(driving, np.full(z.size, s), np.where(low, t, steps[first, 1]), z)
+    rest = np.flatnonzero(~low)
+    x = z[rest]
+    k0 = first + 1 + blocks * FAR_BLOCK
+    rows = steps[first + 1 : k0]
+    lams, caps = rows[:, 2].tolist(), (rows[:, 1] - rows[:, 0]).tolist()
+    for j in range(0, len(lams), FAR_BLOCK):
+        x = _far_field_walk(False, lams[j : j + FAR_BLOCK], caps[j : j + FAR_BLOCK], x)
+    z[rest] = evolve_slices(driving, np.full(x.size, steps[k0, 0]), np.full(x.size, t), x)
+    return z[0] if w.ndim == 0 else z.reshape(w.shape)
 
 
 def evolution_operator(driving: DrivingFunction, s: float, t: float) -> MapEvaluator:
@@ -108,6 +157,11 @@ def _slices(s, t, z, d):
     return s, t, w, d
 
 
+def _check_points(w: np.ndarray) -> None:
+    if not np.all(np.isfinite(w) & (w.imag > 0.0)):
+        raise InvalidMap("solve_phi needs finite points with Im z > 0")
+
+
 def evolve_slices(driving: DrivingFunction, s, t, z, d=None):
     """phi_{s_i, t_i}(z_i) for every i of equal-length 1-d arrays, in one
     pass over the driving term's step partition.  Given an array ``d`` of
@@ -125,8 +179,7 @@ def evolve_slices(driving: DrivingFunction, s, t, z, d=None):
     :class:`StepCollision` (README, *Conventions*).
     """
     s, t, w, d = _slices(s, t, z, d)
-    if not np.all(np.isfinite(w) & (w.imag > 0.0)):
-        raise InvalidMap("solve_phi needs finite points with Im z > 0")
+    _check_points(w)
     first, last = driving._rows(s, t)
     low = w.imag < 2.0 * COLLISION_TOL
     steps = driving._steps
@@ -268,7 +321,8 @@ class TraceSample:
             raise InvalidMap("trace tip must be finite and lie in the closed half-plane")
 
 
-# far field of a block of slit steps (trace_from_driving, extract_driving)
+# far field of a block of slit steps (trace_from_driving, extract_driving,
+# evolve_points)
 FAR_BLOCK = 32  # steps per block
 FAR_TERMS = 24  # Laurent terms kept
 FAR_RADIUS = 3.0  # far points lie beyond FAR_RADIUS block radii
@@ -291,8 +345,9 @@ def _far_field_basis():
 def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndarray) -> np.ndarray:
     """The block of slit steps (``lams[i]``, ``caps[i]``), first to last,
     applied to the array ``w``: grow steps when ``grow`` (extraction), else
-    erase steps (traces).  Points near the block walk its exact steps
-    (``grow_many``/``erase_many``); the others take its Laurent series.
+    erase steps (traces, ``evolve``).  Points near the block walk its exact
+    steps (``grow_many``/``erase_many``); the others take its Laurent
+    series.
 
     Radius.  Let G be the block's map, C = sum(caps), c the midpoint of
     [min lams, max lams] and L its half-length.  G is analytic off a set
@@ -331,11 +386,12 @@ def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndar
     of the dropped terms, whose leading one has constant modulus on the
     circle.  E at the nodes, the exact walk minus the series, is checked
     against FAR_TOL (|c| + rho), and a block that misses it walks every
-    point exactly.  On the seed-0 sin(3 t) trace of 8,001 points the
-    largest node residual is about 1.2e-15.  A block with at most
-    FAR_NODES / 2 far points walks them exactly, since the nodes would
-    cost as much, so an input of at most FAR_BLOCK steps never takes a
-    series.
+    point exactly; so does a NaN residual.  On the seed-0 sin(3 t) trace
+    of 8,001 points the largest node residual is about 1.2e-15.
+
+    Every far point takes the series, and the nodes walk whenever a block
+    has a far point, so a point's floats depend on that point alone, not
+    on how many far points share its array.
     """
     step = grow_many if grow else erase_many
 
@@ -350,7 +406,7 @@ def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndar
     reach = 2.0 * math.sqrt(total) if grow else math.sqrt(2.0 * total)
     rho = FAR_RADIUS * (0.5 * (hi - lo) + reach)
     far = np.abs(w - c) > rho
-    if np.count_nonzero(far) <= FAR_NODES // 2:
+    if not far.any():
         return walk(w)
     unit, dft, synthesis = _far_field_basis()
     near = np.flatnonzero(~far)
@@ -361,7 +417,8 @@ def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndar
     x = w[far]
     moved = z[near.size :] - nodes
     b = (dft @ moved).real
-    if np.max(np.abs(moved - synthesis @ b)) > FAR_TOL * (abs(c) + rho):
+    # written so that a NaN residual walks exactly
+    if not np.max(np.abs(moved - synthesis @ b)) <= FAR_TOL * (abs(c) + rho):
         out[far] = walk(x)
         return out
     v = rho / (x - c)

@@ -33,7 +33,7 @@ from .chains import (
     slit_half_plane,
     spiral_curve,
 )
-from .chordal import extract_driving, solve_phi, trace_from_driving, TraceSample
+from .chordal import evolve_points, extract_driving, trace_from_driving, TraceSample
 from .classes import classify
 from .driving import DrivingFunction
 from .errors import (
@@ -252,7 +252,7 @@ def _cmd_evolve(args) -> int:
     pts = _parse_points_csv(args.points)
 
     def evolve(points):
-        return solve_phi(driving, s, t, points)
+        return evolve_points(driving, s, t, points)
 
     if args.threads > 1:
         chunks = [c for c in np.array_split(pts, args.threads) if c.size]

@@ -134,6 +134,28 @@ class TestEvolve:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_threads_deterministic_through_the_far_field(self, tmp_path):
+        # 2,500 points, 201 linear knots of sin(3t) with 64 steps each over
+        # [0, 1]: the points far from a block of steps take its series, and
+        # each thread's chunk gives the bytes one thread gives
+        driving = write(tmp_path / "sin.csv", "t,lambda\n" + "".join(
+            f"{k / 200!r},{math.sin(3 * k / 200)!r}\n" for k in range(201)
+        ))
+        xs, ys = np.meshgrid(np.linspace(-2.0, 2.0, 50), np.linspace(0.05, 3.05, 50))
+        points = write(tmp_path / "grid.csv", "re,im\n" + "".join(
+            f"{x!r},{y!r}\n" for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())
+        ))
+        outs = []
+        for threads in (1, 2, 3, 7):
+            out = tmp_path / f"out-{threads}.csv"
+            assert main([
+                "evolve", "--driving", driving, "--interp", "linear",
+                "--from", "0", "--to", "1", "--points", points,
+                "--threads", str(threads), "--out", str(out),
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert outs[1:] == outs[:1] * 3
+
     def test_non_finite_point_exit_2(self, tmp_path, zero_driving, capsys):
         for row in ("nan,1", "1,inf"):
             pts = write(tmp_path / "bad.csv", f"re,im\n1,1\n{row}\n")

@@ -215,3 +215,18 @@ def test_far_points_that_leave_the_half_plane_raise():
     # that block names the block's steps
     with pytest.raises(SelfIntersection, match=r"left the half-plane while unzipping steps 33-64"):
         extract_driving(pts)
+
+
+def test_a_nan_residual_walks_exactly(monkeypatch):
+    # NaN series coefficients give a NaN node residual, which fails the
+    # check, so the block walks exactly instead of returning NaN
+    lams, caps = sin_block()
+    w = 0.3 + np.linspace(1.0, 3.0, 200) * 1j
+    exact = w.copy()
+    for lam, cap in zip(lams, caps):
+        exact = grow_many(exact, lam, cap)
+    unit, dft, synthesis = chordal._far_field_basis()
+    monkeypatch.setattr(
+        chordal, "_far_field_basis", lambda: (unit, np.full_like(dft, np.nan), synthesis)
+    )
+    assert np.array_equal(chordal._far_field_walk(True, lams, caps, w), exact)

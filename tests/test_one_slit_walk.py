@@ -14,12 +14,14 @@ and the two sweeps that call it, ``trace_from_driving`` and
 """
 
 import ast
+import math
 import os
 import textwrap
 
 import numpy as np
 
 from loewner_kit import DrivingFunction, chordal
+from loewner_kit.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "loewner_kit")
@@ -118,7 +120,7 @@ def stray_walk_calls(package=PACKAGE):
 # themselves: the tips seeded in a trace block, the tips read in an
 # extraction block
 STEP_CALLERS = {FAR_FIELD, "trace_from_driving", "extract_driving"}
-SWEEPS = ["extract_driving", "trace_from_driving"]
+SWEEPS = ["evolve_points", "extract_driving", "trace_from_driving"]
 
 
 def stray_step_calls(package=PACKAGE):
@@ -215,6 +217,31 @@ def test_one_far_field_for_both_sweeps():
     # is a second copy of the radius, the series and its check
     assert stray_step_calls() == []
     assert far_field_callers() == SWEEPS
+
+
+def test_the_evolve_verb_reaches_the_far_field(tmp_path, monkeypatch):
+    # evolve_points is on the far field's caller list only while the verb
+    # calls it: 33 knots of sin(3t), 32 linear steps each, over [0, 1]
+    blocks = []
+    far_field = chordal._far_field_walk
+
+    def recording(grow, lams, caps, w):
+        blocks.append(grow)
+        return far_field(grow, lams, caps, w)
+
+    monkeypatch.setattr(chordal, "_far_field_walk", recording)
+    driving = tmp_path / "sin.csv"
+    driving.write_text("t,lambda\n" + "".join(
+        f"{k / 32!r},{math.sin(3 * k / 32)!r}\n" for k in range(33)
+    ))
+    points = tmp_path / "grid.csv"
+    points.write_text("re,im\n0.5,0.05\n-2,3\n2,1\n")
+    out = tmp_path / "out.csv"
+    assert main([
+        "evolve", "--driving", str(driving), "--interp", "linear", "--nsub", "32",
+        "--from", "0", "--to", "1", "--points", str(points), "--out", str(out),
+    ]) == 0
+    assert blocks and not any(blocks)
 
 
 def test_step_scan_flags_a_second_block_walker(tmp_path):

@@ -346,8 +346,9 @@ def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndar
     """The block of slit steps (``lams[i]``, ``caps[i]``), first to last,
     applied to the array ``w``: grow steps when ``grow`` (extraction), else
     erase steps (traces, ``evolve``).  Points near the block walk its exact
-    steps (``grow_many``/``erase_many``); the others take its Laurent
-    series.
+    steps, all in one :func:`~loewner_kit.maps.slit_walk` run; the others
+    take its Laurent series.  A step with ``cap == 0.0`` is left out of the
+    run: it is the identity, as in ``grow_many``/``erase_many``.
 
     Radius.  Let G be the block's map, C = sum(caps), c the midpoint of
     [min lams, max lams] and L its half-length.  G is analytic off a set
@@ -393,41 +394,35 @@ def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndar
     has a far point, so a point's floats depend on that point alone, not
     on how many far points share its array.
     """
-    step = grow_many if grow else erase_many
-
-    def walk(z):
-        for lam, cap in zip(lams, caps):
-            z = step(z, lam, cap)
-        return z
-
+    sign = 2.0 if grow else -2.0
+    run_lams = [lam for lam, cap in zip(lams, caps) if cap != 0.0]
+    run_cs = [sign * cap for cap in caps if cap != 0.0]
     lo, hi = min(lams), max(lams)
     c = 0.5 * (lo + hi)
     total = math.fsum(caps)
     reach = 2.0 * math.sqrt(total) if grow else math.sqrt(2.0 * total)
     rho = FAR_RADIUS * (0.5 * (hi - lo) + reach)
     far = np.abs(w - c) > rho
-    if not far.any():
-        return walk(w)
-    unit, dft, synthesis = _far_field_basis()
-    near = np.flatnonzero(~far)
-    nodes = c + rho * unit
-    z = walk(np.concatenate((w[near], nodes)))
-    out = np.empty_like(w)
-    out[near] = z[: near.size]
-    x = w[far]
-    moved = z[near.size :] - nodes
-    b = (dft @ moved).real
-    # written so that a NaN residual walks exactly
-    if not np.max(np.abs(moved - synthesis @ b)) <= FAR_TOL * (abs(c) + rho):
-        out[far] = walk(x)
-        return out
-    v = rho / (x - c)
-    acc = np.full(x.shape, b[-1], dtype=complex)
-    for bk in b[-2::-1]:
-        acc *= v
-        acc += bk
-    out[far] = x + acc * v
-    return out
+    if far.any():
+        unit, dft, synthesis = _far_field_basis()
+        near = np.flatnonzero(~far)
+        nodes = c + rho * unit
+        z = slit_walk(np.concatenate((w[near], nodes)), None, run_lams, run_cs, None)[0]
+        moved = z[near.size :] - nodes
+        b = (dft @ moved).real
+        # a NaN residual fails this test, so its block walks exactly
+        if np.max(np.abs(moved - synthesis @ b)) <= FAR_TOL * (abs(c) + rho):
+            x = w[far]
+            v = rho / (x - c)
+            acc = np.full(x.shape, b[-1], dtype=complex)
+            for bk in b[-2::-1]:
+                acc *= v
+                acc += bk
+            out = np.empty_like(w)
+            out[near] = z[: near.size]
+            out[far] = x + acc * v
+            return out
+    return slit_walk(w, None, run_lams, run_cs, None)[0]
 
 
 def trace_from_driving(

@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,9 +35,7 @@ from .chains import (
 from .chordal import evolve_points, extract_driving, trace_from_driving, TraceSample
 from .classes import classify
 from .driving import DrivingFunction
-from .errors import (
-    EmptyFile, InvalidMap, LoewnerKitError, MonotoneViolation, ParseError, StepCollision,
-)
+from .errors import EmptyFile, InvalidMap, LoewnerKitError, MonotoneViolation, ParseError
 from .families import (
     chordal_chain,
     chordal_family,
@@ -247,25 +244,8 @@ def _gamma_from_expr(expr: str):
 
 def _cmd_evolve(args) -> int:
     s, t = _finite(args.time_from, "--from"), _finite(args.time_to, "--to")
-    _at_least(args.threads, 1, "--threads")
     driving = parse_driving_csv(args.driving, args.interp, args.horizon, args.nsub)
-    pts = _parse_points_csv(args.points)
-
-    def evolve(points):
-        return evolve_points(driving, s, t, points)
-
-    if args.threads > 1:
-        chunks = [c for c in np.array_split(pts, args.threads) if c.size]
-        try:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                out = np.concatenate(list(pool.map(evolve, chunks)))
-        except StepCollision:
-            # a chunk numbers its points from 0; one pass over the whole
-            # input reports the collision exactly as a single thread does
-            evolve(pts)
-            raise
-    else:
-        out = evolve(pts)
+    out = evolve_points(driving, s, t, _parse_points_csv(args.points))
     _write_csv(args.out, "re,im", [(w.real, w.imag) for w in out])
     return 0
 
@@ -456,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="time_to", type=float, required=True)
     p.add_argument("--points", required=True, help="CSV of re,im points")
     p.add_argument("--nsub", type=int, default=64, help="steps per knot piece (linear mode)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (deterministic order)")
     p.add_argument("--out", required=True, help="output file")
     p.set_defaults(func=_cmd_evolve)
 

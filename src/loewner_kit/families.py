@@ -135,22 +135,22 @@ class FamilyHandle:
 
     def disk_side(self) -> "FamilyHandle":
         """Same family conjugated to the disk (no-op when already there)."""
-        if self.domain is Domain.DISK:
-            return self
-        return FamilyHandle(
-            lambda s, t: conjugate_by_cayley(self.maker(s, t)),
-            Domain.DISK,
-            self.driving,
-        )
+        return self._side(Domain.DISK)
 
     def half_plane_side(self) -> "FamilyHandle":
-        if self.domain is Domain.HALF_PLANE:
+        return self._side(Domain.HALF_PLANE)
+
+    def _side(self, domain: Domain) -> "FamilyHandle":
+        """This family conjugated by the Cayley map onto ``domain``.  The
+        identity probe is not run again: its maker(s, s) was probed, and
+        conjugation keeps the identity."""
+        if self.domain is domain:
             return self
-        return FamilyHandle(
-            lambda s, t: conjugate_by_cayley(self.maker(s, t)),
-            Domain.HALF_PLANE,
-            self.driving,
+        side = object.__new__(FamilyHandle)
+        vars(side).update(
+            vars(self), maker=lambda s, t: conjugate_by_cayley(self.maker(s, t)), domain=domain
         )
+        return side
 
 
 def _groups(keys) -> dict:

@@ -53,6 +53,28 @@ class TestFamilyHandle:
         assert abs(complex(disk(0.0, 0.5).evaluate(z))) < 1.0
         assert complex(fam.half_plane_side()(0.0, 0.5).evaluate(w)).imag > 0
 
+    def test_a_side_change_does_not_probe_again(self):
+        # the family was probed when it was built, and conjugation keeps
+        # maker(s, s) the identity; the new side still calls the maker
+        calls = []
+
+        def maker(s, t):
+            calls.append((s, t))
+            return Affine(1.0, 0.0, Domain.DISK, Domain.DISK)
+
+        fam = FamilyHandle(maker, Domain.DISK)
+        assert len(calls) == 3
+        calls.clear()
+        half = fam.half_plane_side()
+        disk = half.disk_side()
+        assert calls == []
+        assert (half.domain, half.driving, disk.domain) == (Domain.HALF_PLANE, None, Domain.DISK)
+        assert half.half_plane_side() is half and disk.disk_side() is disk
+        w = 0.3 + 0.7j
+        assert abs(complex(half(0.0, 0.5).evaluate(w)) - w) <= 1e-15
+        assert abs(complex(disk(0.0, 0.5).evaluate(0.2 + 0.1j)) - (0.2 + 0.1j)) <= 1e-15
+        assert calls == [(0.0, 0.5), (0.0, 0.5)]
+
 
 def sin33_family():
     ts = np.linspace(0.0, 1.0, 33)

@@ -230,3 +230,79 @@ def test_a_nan_residual_walks_exactly(monkeypatch):
         chordal, "_far_field_basis", lambda: (unit, np.full_like(dft, np.nan), synthesis)
     )
     assert np.array_equal(chordal._far_field_walk(True, lams, caps, w), exact)
+
+
+class Walks:
+    """The state in and out of each ``slit_walk`` run made inside
+    ``_far_field_walk``, with the number of ``_far_field_walk`` calls."""
+
+    def __init__(self, monkeypatch):
+        self.blocks = 0
+        self.runs = []
+        self._inside = False
+        walk, far_field = chordal.slit_walk, chordal._far_field_walk
+
+        def recording_walk(z, d, lams, cs, each):
+            out = walk(z, d, lams, cs, each)
+            if self._inside:
+                self.runs.append((z.copy(), list(lams), list(cs), out[0]))
+            return out
+
+        def recording_block(grow, lams, caps, w):
+            self.blocks += 1
+            self._inside = True
+            try:
+                return far_field(grow, lams, caps, w)
+            finally:
+                self._inside = False
+
+        monkeypatch.setattr(chordal, "slit_walk", recording_walk)
+        monkeypatch.setattr(chordal, "_far_field_walk", recording_block)
+
+
+def stepwise(grow, lams, caps, w):
+    """The block walked one ``grow_many``/``erase_many`` call per step."""
+    for lam, cap in zip(lams, caps):
+        w = (grow_many if grow else erase_many)(w, lam, cap)
+    return w
+
+
+def test_a_block_takes_at_most_two_walks(monkeypatch):
+    # the near points and the circle nodes walk the block in one run, and a
+    # block that misses the tolerance walks its points in one more: on the
+    # three sweeps of the benchmark's seed-0 sizes, and on one block
+    walks = Walks(monkeypatch)
+    d = DrivingFunction.from_function(lambda t: math.sin(3 * t), 1, n=201)
+    xs, ys = np.meshgrid(np.linspace(-2.0, 2.0, 50), np.linspace(0.05, 3.05, 50))
+    chordal.evolve_points(d, 0.0, 1.0, (xs + 1j * ys).ravel())
+    extract_driving(trace_from_driving(d, np.linspace(0.0, 1.0, 2001)))
+    assert walks.blocks > 300
+    assert 0 < len(walks.runs) <= 2 * walks.blocks
+    lams, caps = sin_block()
+    w = np.array([lams[0] + 0.05j, 0.3 + 2j])
+    monkeypatch.setattr(chordal, "FAR_TOL", 0.0)
+    for grow in (False, True):
+        walks.runs.clear()
+        chordal._far_field_walk(grow, lams, caps, w)
+        assert len(walks.runs) == 2
+
+
+@pytest.mark.parametrize("grow", [False, True])
+def test_near_points_and_nodes_walk_as_step_by_step(monkeypatch, grow):
+    # a block with a zero-cap step, which the run leaves out: the points
+    # near the block, the nodes and, when the block walks exactly, every
+    # point get the bits of one grow_many/erase_many call per step
+    lams, caps = sin_block()
+    caps[5] = 0.0
+    c = 0.5 * (min(lams) + max(lams))
+    w = np.concatenate((c + np.linspace(-0.2, 0.2, 9) + 0.05j, 0.3 + np.linspace(1.0, 3.0, 20) * 1j))
+    walks = Walks(monkeypatch)
+    got = chordal._far_field_walk(grow, lams, caps, w)
+    [(z, run_lams, run_cs, out)] = walks.runs
+    assert len(run_cs) == chordal.FAR_BLOCK - 1
+    assert np.array_equal(z[:9], w[:9]) and z.size == 9 + chordal.FAR_NODES // 2
+    assert np.array_equal(out, stepwise(grow, lams, caps, z))
+    assert np.array_equal(got[:9], out[:9])
+    assert not np.array_equal(got[9:], stepwise(grow, lams, caps, w[9:]))  # the series
+    monkeypatch.setattr(chordal, "FAR_TOL", 0.0)
+    assert np.array_equal(chordal._far_field_walk(grow, lams, caps, w), stepwise(grow, lams, caps, w))

@@ -5,12 +5,14 @@ A second call site is a second copy of the step formula
 ``lam + slit_root(w - lam, c)``, which can drift from the first in its
 branch rule, its derivative or the order of its float operations.  The
 scan is by name, so ``slit_root(...)`` and ``maps.slit_root(...)`` both
-count.  In the same way the walk has a fixed set of callers, one of them
-``chordal.evolve_slices``, the one forward walker over the step partition.
-The one-step helpers ``erase_many`` and ``grow_many`` have a fixed set of
-callers too: the far field of a block of steps, ``chordal._far_field_walk``,
-and the two sweeps that call it, ``trace_from_driving`` and
-``extract_driving``.
+count.  In the same way the walk has a fixed set of callers, among them
+``chordal.evolve_slices``, the one forward walker over the step partition,
+and the far field of a block of steps, ``chordal._far_field_walk``, which
+walks a block's near points in one run.  The one-step helpers
+``erase_many`` and ``grow_many`` have a fixed set of callers too: the two
+sweeps that call the far field, ``trace_from_driving`` and
+``extract_driving``, for the points they walk one step at a time inside a
+block.
 """
 
 import ast
@@ -101,12 +103,14 @@ def stray_kernel_calls(package=PACKAGE):
 
 
 # the step evaluation of a run, the one-step helpers the tracer wraps, the
-# forward walker over the partition and the slit family's backward walk
+# forward walker over the partition, the far field of a block and the slit
+# family's backward walk
 WALK_CALLERS = {
     "SlitStep._eval_deriv",
     "erase_many",
     "grow_many",
     "evolve_slices",
+    FAR_FIELD,
     "_uniformizer_walk",
 }
 
@@ -116,10 +120,9 @@ def stray_walk_calls(package=PACKAGE):
     return [c for c in _scan(package, _WalkCalls) if c[2] not in WALK_CALLERS]
 
 
-# the far field, and the sweeps that walk the points inside a block
-# themselves: the tips seeded in a trace block, the tips read in an
-# extraction block
-STEP_CALLERS = {FAR_FIELD, "trace_from_driving", "extract_driving"}
+# the sweeps that walk the points inside a block one step at a time: the
+# tips seeded in a trace block, the tips read in an extraction block
+STEP_CALLERS = {"trace_from_driving", "extract_driving"}
 SWEEPS = ["evolve_points", "extract_driving", "trace_from_driving"]
 
 
@@ -249,9 +252,7 @@ def test_step_scan_flags_a_second_block_walker(tmp_path):
     pkg.mkdir()
     (pkg / "chordal.py").write_text(textwrap.dedent("""
         def _far_field_walk(grow, lams, caps, w):
-            for lam, cap in zip(lams, caps):
-                w = grow_many(w, lam, cap)
-            return w
+            return slit_walk(w, None, lams, [2.0 * cap for cap in caps], None)[0]
 
         def trace_from_driving(driving, grid):
             return _far_field_walk(False, [], [], erase_many(grid, 0.0, 1.0))
@@ -264,7 +265,7 @@ def test_step_scan_flags_a_second_block_walker(tmp_path):
                 w = grow_many(w, lam, 0.5)
             return w
     """))
-    assert stray_step_calls(str(pkg)) == [("chordal.py", 15, "_blocks")]
+    assert stray_step_calls(str(pkg)) == [("chordal.py", 13, "_blocks")]
     assert far_field_callers(str(pkg)) == ["trace_from_driving"]
 
 

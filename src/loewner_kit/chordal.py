@@ -89,8 +89,7 @@ def evolve_points(
     points: Sequence[complex],
 ) -> np.ndarray:
     """:func:`solve_phi` with the window's interior rows in blocks of
-    ``FAR_BLOCK`` through the far field (:func:`_far_field_walk`), for the
-    ``evolve`` verb.
+    ``FAR_BLOCK`` through the far field, for the ``evolve`` verb.
 
     Points, window, shapes and messages are those of :func:`solve_phi`.
     The clipped first row, the rows after the last full block and the
@@ -99,11 +98,15 @@ def evolve_points(
     exactly, with the collision check, so :class:`StepCollision` names the
     point and time that :func:`solve_phi` names; the others cannot collide.
     Every block of interior rows takes a point further than ``FAR_RADIUS``
-    block radii from its center through its Laurent series, with an error
-    of at most ``FAR_TOL`` (|c| + rho) per block, and walks the others
-    exactly.  A point's floats depend on that point alone, not on the
-    other points of the array.  A window with fewer than ``FAR_BLOCK``
-    interior rows walks exactly, with the floats of :func:`solve_phi`.
+    block radii from its center through its Laurent series
+    (:func:`_far_field_series`), with an error of at most ``FAR_TOL``
+    (|c| + rho) per block, and walks the others exactly, in one run per
+    block that has any.  The blocks' series depend only on the driving
+    term, so they are fitted once per call, as one table
+    (:func:`_far_field_fit`): one node walk per ``FAR_SLICE`` blocks.  A
+    point's floats depend on that point alone, not on the other points of
+    the array.  A window with fewer than ``FAR_BLOCK`` interior rows walks
+    exactly, with the floats of :func:`solve_phi`.
     """
     w = np.asarray(points, dtype=complex)
     z = w.ravel()
@@ -121,10 +124,13 @@ def evolve_points(
     rest = np.flatnonzero(~low)
     x = z[rest]
     k0 = first + 1 + blocks * FAR_BLOCK
-    rows = steps[first + 1 : k0]
-    lams, caps = rows[:, 2].tolist(), (rows[:, 1] - rows[:, 0]).tolist()
-    for j in range(0, len(lams), FAR_BLOCK):
-        x = _far_field_walk(False, lams[j : j + FAR_BLOCK], caps[j : j + FAR_BLOCK], x)
+    rows = steps[first + 1 : k0].reshape(blocks, FAR_BLOCK, 3)
+    lams, caps = rows[:, :, 2], rows[:, :, 1] - rows[:, :, 0]
+    fits, _ = _far_field_fit(False, lams, caps, np.empty((blocks, 0), dtype=complex))
+    for i, fit in enumerate(fits):
+        near = _far_field_series(fit, x)
+        if near.size:
+            x[near] = _block_run(False, lams[i : i + 1], caps[i : i + 1], x[near][None], None)[0]
     z[rest] = evolve_slices(driving, np.full(x.size, steps[k0, 0]), np.full(x.size, t), x)
     return z[0] if w.ndim == 0 else z.reshape(w.shape)
 
@@ -328,6 +334,7 @@ FAR_TERMS = 24  # Laurent terms kept
 FAR_RADIUS = 3.0  # far points lie beyond FAR_RADIUS block radii
 FAR_NODES = 64  # nodes on the circle, of which the upper half are walked
 FAR_TOL = 1e-14  # largest series error on the circle, per unit of |c| + rho
+FAR_SLICE = 256  # blocks whose nodes walk in one run: 128 KB per temporary
 
 
 @functools.cache
@@ -342,13 +349,62 @@ def _far_field_basis():
     return np.exp(1j * angles), dft, dft.conj().T * (FAR_NODES / 2.0)
 
 
-def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndarray) -> np.ndarray:
-    """The block of slit steps (``lams[i]``, ``caps[i]``), first to last,
-    applied to the array ``w``: grow steps when ``grow`` (extraction), else
-    erase steps (traces, ``evolve``).  Points near the block walk its exact
-    steps, all in one :func:`~loewner_kit.maps.slit_walk` run; the others
-    take its Laurent series.  A step with ``cap == 0.0`` is left out of the
-    run: it is the identity, as in ``grow_many``/``erase_many``.
+def _block_run(grow: bool, lams: np.ndarray, caps: np.ndarray, z: np.ndarray, each) -> np.ndarray:
+    """Row i of the (rows, n) array ``z`` after the block of slit steps
+    (``lams[i]``, ``caps[i]``) of a (rows, steps) table, first step to
+    last: grow steps when ``grow`` (extraction), else erase steps (traces,
+    ``evolve``).
+
+    A step with ``cap == 0.0`` is the identity, as in
+    ``grow_many``/``erase_many``, and is left out.  A one-row table walks
+    its row as a 1-d array with float steps, in one
+    :func:`~loewner_kit.maps.slit_walk` run that calls ``each(j, z, d)``
+    after its j-th step; a (1, 1) lambda would cost each numpy operation
+    about 3 us more, for the same floats.  In a larger table the rows with
+    the same number of steps walk them in one run, step j of every row at
+    once, with its lambda and c broadcast as (rows, 1).
+    """
+    sign = 2.0 if grow else -2.0
+    if len(z) == 1:
+        steps = [(lam, sign * cap) for lam, cap in zip(lams[0].tolist(), caps[0].tolist()) if cap != 0.0]
+        return slit_walk(z[0], None, [lam for lam, _ in steps], [c for _, c in steps], each)[0][None]
+    keep = caps != 0.0
+    counts = keep.sum(axis=1)
+    out = np.empty_like(z)
+    # a sorted set, not np.unique: its first call loads a megabyte of numpy
+    for k in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == k)
+        run_lams = lams[rows][keep[rows]].reshape(rows.size, k).T[:, :, None]
+        run_cs = sign * caps[rows][keep[rows]].reshape(rows.size, k).T[:, :, None]
+        out[rows] = slit_walk(z[rows], None, run_lams, run_cs, each)[0]
+    return out
+
+
+def _far_field_discs(grow: bool, lams: np.ndarray, caps: np.ndarray):
+    """The center c and the radius rho of each block's circle, as (rows,)
+    arrays for the (rows, steps) table (``lams``, ``caps``): c the midpoint
+    of the block's driving values, rho ``FAR_RADIUS`` block radii (see
+    :func:`_far_field_fit`)."""
+    lo, hi = lams.min(axis=1), lams.max(axis=1)
+    total = np.array([math.fsum(row) for row in caps.tolist()])
+    reach = 2.0 * np.sqrt(total) if grow else np.sqrt(2.0 * total)
+    return 0.5 * (lo + hi), FAR_RADIUS * (0.5 * (hi - lo) + reach)
+
+
+def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, w: np.ndarray):
+    """The Laurent series of every block of slit steps of the (rows, steps)
+    table (``lams``, ``caps``), each block's steps first to last: grow
+    steps when ``grow`` (extraction), else erase steps (traces,
+    ``evolve``).  Returns a list with each block's (c, rho, b, ok), and
+    the (rows, n) points ``w``, row i after block i's exact steps.
+
+    Row i of ``w`` and the nodes of block i walk its exact steps together,
+    ``FAR_SLICE`` blocks to a :func:`_block_run`; the table callers
+    (``evolve_points``, ``trace_from_driving``) pass no points and fit
+    every block of a call this way, and :func:`_far_field_walk` passes a
+    block's near points.  A series depends only on its block's steps, so
+    a block's (c, rho, b, ok) are the same floats whether it is fitted in
+    a table or alone.
 
     Radius.  Let G be the block's map, C = sum(caps), c the midpoint of
     [min lams, max lams] and L its half-length.  G is analytic off a set
@@ -375,54 +431,86 @@ def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndar
 
     Series.  On the circle |w - c| = rho = FAR_RADIUS R the FAR_NODES / 2
     nodes of the upper half (angles pi (2 p + 1) / FAR_NODES, off the real
-    axis) walk the exact steps with the near points; the lower half is
-    their conjugate.  A discrete Fourier transform of G(w) - w there gives
-    b_k = a_k rho^-k for k <= FAR_TERMS, up to aliasing of the terms
-    beyond FAR_NODES - FAR_TERMS.  A point with |w - c| > rho takes
-    w + sum_k b_k (rho / (w - c))^k by Horner's rule.
+    axis) walk the exact steps; the lower half is their conjugate.  A
+    discrete Fourier transform of G(w) - w there gives b_k = a_k rho^-k
+    for k <= FAR_TERMS, up to aliasing of the terms beyond FAR_NODES -
+    FAR_TERMS.  :func:`_far_field_series` takes a point with |w - c| > rho
+    to w + sum_k b_k (rho / (w - c))^k.
 
     Error.  E = G - w - series is analytic on |w - c| > R and vanishes at
     infinity, so by the maximum modulus principle its largest value on
     |w - c| >= rho is its largest value on the circle.  There E is the sum
     of the dropped terms, whose leading one has constant modulus on the
     circle.  E at the nodes, the exact walk minus the series, is checked
-    against FAR_TOL (|c| + rho), and a block that misses it walks every
-    point exactly; so does a NaN residual.  On the seed-0 sin(3 t) trace
-    of 8,001 points the largest node residual is about 1.2e-15.
-
-    Every far point takes the series, and the nodes walk whenever a block
-    has a far point, so a point's floats depend on that point alone, not
-    on how many far points share its array.
+    against FAR_TOL (|c| + rho): ok is False for a block that misses it,
+    and for a NaN residual, and such a block walks every point exactly.
+    On the seed-0 sin(3 t) trace of 8,001 points the largest node
+    residual is about 1.2e-15.  Each block keeps its own transform and
+    residual (one matrix-vector product each): one product over the whole
+    table rounds differently.
     """
-    sign = 2.0 if grow else -2.0
-    run_lams = [lam for lam, cap in zip(lams, caps) if cap != 0.0]
-    run_cs = [sign * cap for cap in caps if cap != 0.0]
-    lo, hi = min(lams), max(lams)
-    c = 0.5 * (lo + hi)
-    total = math.fsum(caps)
-    reach = 2.0 * math.sqrt(total) if grow else math.sqrt(2.0 * total)
-    rho = FAR_RADIUS * (0.5 * (hi - lo) + reach)
+    c, rho = _far_field_discs(grow, lams, caps)
+    unit, dft, synthesis = _far_field_basis()
+    nodes = c[:, None] + rho[:, None] * unit
+    n = w.shape[1]
+    walked = np.empty_like(w)
+    fits = []
+    for i in range(0, c.size, FAR_SLICE):
+        part = slice(i, i + FAR_SLICE)
+        z = _block_run(grow, lams[part], caps[part], np.concatenate((w[part], nodes[part]), axis=1), None)
+        walked[part] = z[:, :n]
+        for ci, ri, moved in zip(c[part].tolist(), rho[part].tolist(), z[:, n:] - nodes[part]):
+            b = (dft @ moved).real
+            # a NaN residual fails this test, so its block walks exactly
+            ok = np.max(np.abs(moved - synthesis @ b)) <= FAR_TOL * (abs(ci) + ri)
+            fits.append((ci, ri, b, ok))
+    return fits, walked
+
+
+def _far_field_series(fit, w: np.ndarray) -> np.ndarray:
+    """Move the points of the 1-d array ``w`` beyond the circle of ``fit`` =
+    (c, rho, b, ok), |w - c| > rho, in place by its series w + sum_k b_k
+    (rho / (w - c))^k, by Horner's rule, and return the indices of the
+    others, which the block's exact steps must take.  A block that is not
+    ok moves no point."""
+    c, rho, b, ok = fit
+    if not ok:
+        return np.arange(w.size)
     far = np.abs(w - c) > rho
     if far.any():
-        unit, dft, synthesis = _far_field_basis()
-        near = np.flatnonzero(~far)
-        nodes = c + rho * unit
-        z = slit_walk(np.concatenate((w[near], nodes)), None, run_lams, run_cs, None)[0]
-        moved = z[near.size :] - nodes
-        b = (dft @ moved).real
-        # a NaN residual fails this test, so its block walks exactly
-        if np.max(np.abs(moved - synthesis @ b)) <= FAR_TOL * (abs(c) + rho):
-            x = w[far]
-            v = rho / (x - c)
-            acc = np.full(x.shape, b[-1], dtype=complex)
-            for bk in b[-2::-1]:
-                acc *= v
-                acc += bk
-            out = np.empty_like(w)
-            out[near] = z[: near.size]
-            out[far] = x + acc * v
-            return out
-    return slit_walk(w, None, run_lams, run_cs, None)[0]
+        x = w[far]
+        v = rho / (x - c)
+        acc = np.full(x.shape, b[-1], dtype=complex)
+        for bk in b[-2::-1]:
+            acc *= v
+            acc += bk
+        w[far] = x + acc * v
+    return np.flatnonzero(~far)
+
+
+def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndarray) -> np.ndarray:
+    """The one block of slit steps (``lams[i]``, ``caps[i]``), first to
+    last, applied to the array ``w``, for a sweep that learns its steps one
+    block at a time (``extract_driving``): grow steps when ``grow``, else
+    erase steps.
+
+    Points within the block's circle (:func:`_far_field_fit`) walk its
+    exact steps in the run of its nodes; the others take its series
+    (:func:`_far_field_series`), or one more run when the block is not
+    ok.  So a point's floats are those of the table form, fitted once for
+    a sweep's blocks, and depend on that point alone.
+    """
+    lams, caps = np.array([lams], dtype=float), np.array([caps], dtype=float)
+    c, rho = _far_field_discs(grow, lams, caps)
+    far = np.abs(w - c[0]) > rho[0]
+    [fit], walked = _far_field_fit(grow, lams, caps, w[~far][None])
+    x = w[far]
+    exact = _far_field_series(fit, x)
+    if exact.size:
+        x[exact] = _block_run(grow, lams, caps, x[exact][None], None)[0]
+    out = np.empty_like(w)
+    out[~far], out[far] = walked[0], x
+    return out
 
 
 def trace_from_driving(
@@ -438,20 +526,24 @@ def trace_from_driving(
     partition, so accuracy is controlled by its resolution.
 
     The steps are cut into blocks of ``FAR_BLOCK`` (32) consecutive
-    intervals, the last block first.  The tips seeded inside a block walk
-    their part of it exactly; every later tip takes the whole block
-    through :func:`_far_field_walk`: exact steps within ``FAR_RADIUS`` (3)
-    block radii of the block's center, the block's ``FAR_TERMS`` (24)-term
-    Laurent series beyond.  The block radius, proven there, is half the
-    spread of the block's driving values plus sqrt(2 C), C its capacity.
-    On the far region a block's series differs from its exact steps by at
-    most ``FAR_TOL`` (1e-14) times |c| + rho, checked on the circle
-    |w - c| = rho where the error is largest; a block that misses it
-    walks exactly.  On the seed-0 sin(3t) grid of 8,001 points the sweep
-    takes 2.75M exact point-steps and 0.9M series evaluations instead of
-    32.0M exact point-steps, and the tips differ from the all-exact sweep
-    by at most 6.1e-14.  A grid of at most ``FAR_BLOCK`` steps walks only
-    exact steps, with the floats of the all-exact sweep.
+    intervals, walked last block first, each block's steps last to first.
+    Every block but the last has later tips, and the series of all of them
+    are fitted once, as one table (:func:`_far_field_fit`).  A later tip
+    beyond ``FAR_RADIUS`` (3) block radii of a block's center takes the
+    block's ``FAR_TERMS`` (24)-term Laurent series
+    (:func:`_far_field_series`); the nearer later tips and the tips seeded
+    inside the block walk its exact steps in one run, each seeded tip
+    joining before the first step it takes.  The block radius, proven in
+    :func:`_far_field_fit`, is half the spread of the block's driving
+    values plus sqrt(2 C), C its capacity.  On the far region a block's
+    series differs from its exact steps by at most ``FAR_TOL`` (1e-14)
+    times |c| + rho, checked on the circle |w - c| = rho where the error
+    is largest; a block that misses it walks exactly.  On the seed-0
+    sin(3t) grid of 8,001 points the sweep takes 251 runs of 2.88M exact
+    point-steps (circle nodes included) and 0.92M series evaluations
+    instead of 32.0M exact point-steps, and the tips differ from the
+    all-exact sweep by at most 6.1e-14.  A grid of at most ``FAR_BLOCK``
+    steps walks only exact steps, with the floats of the all-exact sweep.
     """
     times = [float(u) for u in grid]
     if not all(a < b for a, b in zip(times, times[1:])):
@@ -471,21 +563,34 @@ def trace_from_driving(
     lams = driving.value(0.5 * (bounds[:-1] + bounds[1:]))
     m = len(work)
     vals = np.empty(m, dtype=complex)
-    lam_list, cap_list = lams.tolist(), caps.tolist()
-    # step j acts on the tips from j + 1 on; in blocks [j0, j1) of steps,
-    # last block first, the tips after j1 take the whole block through the
-    # far field and the tips seeded inside it walk their part exactly
+    seeds = lams + 1j * np.sqrt(2.0 * caps)
+    # step j acts on the tips from j + 1 on.  Blocks [j0, j1) of steps walk
+    # last block first, each block's steps last to first; every block but
+    # the last has later tips, and their series are fitted in one table
+    table = max(m - 2, 0) // FAR_BLOCK
+    rows = slice(0, table * FAR_BLOCK)
+    block_lams = lams[rows].reshape(table, FAR_BLOCK)[:, ::-1]
+    block_caps = caps[rows].reshape(table, FAR_BLOCK)[:, ::-1]
+    fits, _ = _far_field_fit(False, block_lams, block_caps, np.empty((table, 0), dtype=complex))
     for j0 in range((m - 2) // FAR_BLOCK * FAR_BLOCK, -1, -FAR_BLOCK):
         j1 = min(j0 + FAR_BLOCK, m - 1)
-        if j1 + 1 < m:
-            vals[j1 + 1 :] = _far_field_walk(
-                False, lam_list[j0:j1][::-1], cap_list[j0:j1][::-1], vals[j1 + 1 :]
-            )
-        for j in range(j1 - 1, j0 - 1, -1):
-            vals[j + 1] = lams[j + 1] + 1j * math.sqrt(2.0 * caps[j + 1])
-            # insert the slit of interval j underneath everything newer
-            vals[j + 1 : j1 + 1] = erase_many(vals[j + 1 : j1 + 1], lams[j], caps[j])
-    vals[0] = lams[0] + 1j * math.sqrt(2.0 * caps[0])
+        later, near = vals[j1 + 1 :], np.empty(0, dtype=int)
+        if later.size:
+            near = _far_field_series(fits[j0 // FAR_BLOCK], later)
+        # the near later tips walk the block exactly, and with them the
+        # tips seeded in it: tip j1 - i joins before the block's step i
+        tips = seeds[j0 + 1 : j1 + 1][::-1]
+        n = near.size
+
+        def seed(i, z, _):
+            if i + 1 < tips.size:
+                z[n + i + 1] = tips[i + 1]
+
+        block = lams[None, j0:j1][:, ::-1], caps[None, j0:j1][:, ::-1]
+        z = _block_run(False, *block, np.concatenate((later[near], tips))[None], seed)[0]
+        later[near] = z[:n]
+        vals[j0 + 1 : j1 + 1] = z[n:][::-1]
+    vals[0] = seeds[0]
     out.extend(TraceSample(u, complex(v)) for u, v in zip(work, vals))
     return out
 
@@ -506,17 +611,18 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
     a block is read after the block's earlier steps, and then every later
     point takes the block's grow steps through :func:`_far_field_walk`:
     exact steps within ``FAR_RADIUS`` (3) block radii of the block's
-    center, its ``FAR_TERMS`` (24)-term Laurent series beyond.  The block
-    radius, proven there, is half the spread of the block's driving values
-    plus 2 sqrt(C), C its capacity, and bounds the block's hull.  On the
-    far region a block's series differs from its exact steps by at most
-    ``FAR_TOL`` (1e-14) times |c| + rho, and a block that misses it walks
-    exactly.  On the seed-0 sin(3t) trace of 8,001 points the sweep takes
-    4.66M exact point-steps and 0.9M series evaluations instead of 32.0M
-    exact point-steps, and lambda differs from the all-exact sweep by at
-    most 1.2e-12.  A polyline of at most ``FAR_BLOCK`` + 1 points after
-    the root walks only exact steps, with the floats of the all-exact
-    sweep.
+    center, in the run of the block's circle nodes, and its ``FAR_TERMS``
+    (24)-term Laurent series beyond.  The block radius, proven in
+    :func:`_far_field_fit`, is half the spread of the block's driving
+    values plus 2 sqrt(C), C its capacity, and bounds the block's hull.
+    On the far region a block's series differs from its exact steps by at
+    most ``FAR_TOL`` (1e-14) times |c| + rho, and a block that misses it
+    walks exactly.  On the seed-0 sin(3t) trace of 8,001 points the sweep
+    takes 4.68M exact point-steps (circle nodes included) and 0.86M series
+    evaluations instead of 32.0M exact point-steps, and lambda differs
+    from the all-exact sweep by at most 1.2e-12.  A polyline of at most
+    ``FAR_BLOCK`` + 1 points after the root walks only exact steps, with
+    the floats of the all-exact sweep.
 
     Raises :class:`SelfIntersection` when an erased point drops below
     Im = 1e-9, which is how a non-simple input manifests, and

@@ -101,7 +101,9 @@ def slit_walk(z, d, lams, cs, each):
     """The one loop over slit steps: apply w -> lam + slit_root(w - lam, c)
     for each (lam, c) of ``lams``, ``cs``, first to last, to the state
     (z, d) and return it.  The derivative ``d`` (or None) is carried by the
-    chain rule; ``each(j, z, d)``, unless None, runs after step j."""
+    chain rule; ``each(j, z, d)``, unless None, runs after step j, and may
+    write into ``z``: step j + 1 takes what it leaves there (the trace
+    sweep seeds its tips this way)."""
     for j, (lam, c) in enumerate(zip(lams, cs)):
         u = z - lam
         root = slit_root(u, c)

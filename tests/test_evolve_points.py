@@ -3,7 +3,8 @@ with ``solve_phi``, the exact walker, as its oracle.
 
 ``evolve_points`` walks a window's clipped first row, the rows after its
 last full block and its clipped last row exactly, and each block of
-``FAR_BLOCK`` interior rows through ``chordal._far_field_walk``.  So it
+``FAR_BLOCK`` interior rows through the far field (``chordal._far_field_fit``
+and ``chordal._far_field_series``).  So it
 differs from ``solve_phi`` only by the blocks' series errors, carried to
 the window's end, and by the rounding of both walks.
 """
@@ -57,7 +58,7 @@ def far_field_bound(driving, s, t, z, exact):
     each point of ``z``, derived from the far field's per-block bound.
 
     A block's series differs from its exact steps by at most FAR_TOL
-    (|c| + rho) on its far region (``_far_field_walk``: c the center of its
+    (|c| + rho) on its far region (``_far_field_fit``: c the center of its
     driving values, rho FAR_RADIUS times their half-spread plus sqrt(2 C),
     C the block's capacity).  The steps
     after it map the half-plane into itself, so by the Schwarz-Pick lemma

@@ -2,9 +2,11 @@
 
 Both sweeps cut their steps into blocks of ``chordal.FAR_BLOCK`` steps; a
 point far from a block takes the block's Laurent series instead of its
-exact steps (``chordal._far_field_walk``).  The oracles below are the
-exact sweeps the far field replaced, their loops verbatim: every step
-walks every later point, N(N - 1)/2 point-steps for N points.
+exact steps (``chordal._far_field_fit`` fits it, ``_far_field_series``
+evaluates it, and ``_far_field_walk`` does both for one block).  The
+oracles below are the exact sweeps the far field replaced, their loops
+verbatim: every step walks every later point, N(N - 1)/2 point-steps for
+N points.
 """
 
 import math
@@ -86,19 +88,19 @@ def tips_of(samples):
 
 
 class Counted:
-    """Exact point-steps taken through ``erase_many`` and ``grow_many``."""
+    """Exact point-steps of every ``slit_walk`` run made in ``chordal``,
+    ``np.size(z) * len(lams)`` a run: the runs of ``erase_many`` and
+    ``grow_many``, of near points and of circle nodes alike."""
 
     def __init__(self, monkeypatch):
-        self.steps = {"erase": 0, "grow": 0}
-        for kind, fn in (("erase", erase_many), ("grow", grow_many)):
-            monkeypatch.setattr(chordal, f"{kind}_many", self._counting(kind, fn))
+        self.steps = 0
+        walk = chordal.slit_walk
 
-    def _counting(self, kind, fn):
-        def step(w, lam, cap):
-            self.steps[kind] += np.size(w)
-            return fn(w, lam, cap)
+        def counting(z, d, lams, cs, each):
+            self.steps += np.size(z) * len(lams)
+            return walk(z, d, lams, cs, each)
 
-        return step
+        monkeypatch.setattr(chordal, "slit_walk", counting)
 
 
 # (driving, number of grid points on [0, 1])
@@ -147,11 +149,13 @@ def test_exact_work_is_a_quarter_of_the_sweep(monkeypatch):
     d = make()
     count = Counted(monkeypatch)
     tips = tips_of(trace_from_driving(d, np.linspace(0.0, 1.0, n)))
+    erase = count.steps
     extract_driving(tips)
+    grow = count.steps - erase
     # n - 1 points after the root: (n - 1)(n - 2)/2 point-steps each way
     full = (n - 1) * (n - 2) // 2
-    assert 0 < count.steps["erase"] <= full / 4
-    assert 0 < count.steps["grow"] <= full / 4
+    assert 0 < erase <= full / 4
+    assert 0 < grow <= full / 4
 
 
 @pytest.mark.parametrize("make", [CASES[k][0] for k in sorted(CASES)], ids=sorted(CASES))
@@ -233,14 +237,16 @@ def test_a_nan_residual_walks_exactly(monkeypatch):
 
 
 class Walks:
-    """The state in and out of each ``slit_walk`` run made inside
-    ``_far_field_walk``, with the number of ``_far_field_walk`` calls."""
+    """The state in and out of each ``slit_walk`` run made inside the far
+    field's block walker ``_block_run``, with the number of blocks fitted
+    by ``_far_field_fit`` (a table's rows, or the one block of a
+    ``_far_field_walk`` call)."""
 
     def __init__(self, monkeypatch):
         self.blocks = 0
         self.runs = []
         self._inside = False
-        walk, far_field = chordal.slit_walk, chordal._far_field_walk
+        walk, block_run, fit = chordal.slit_walk, chordal._block_run, chordal._far_field_fit
 
         def recording_walk(z, d, lams, cs, each):
             out = walk(z, d, lams, cs, each)
@@ -248,16 +254,20 @@ class Walks:
                 self.runs.append((z.copy(), list(lams), list(cs), out[0]))
             return out
 
-        def recording_block(grow, lams, caps, w):
-            self.blocks += 1
+        def recording_run(grow, lams, caps, z, each):
             self._inside = True
             try:
-                return far_field(grow, lams, caps, w)
+                return block_run(grow, lams, caps, z, each)
             finally:
                 self._inside = False
 
+        def recording_fit(grow, lams, caps, w):
+            self.blocks += len(lams)
+            return fit(grow, lams, caps, w)
+
         monkeypatch.setattr(chordal, "slit_walk", recording_walk)
-        monkeypatch.setattr(chordal, "_far_field_walk", recording_block)
+        monkeypatch.setattr(chordal, "_block_run", recording_run)
+        monkeypatch.setattr(chordal, "_far_field_fit", recording_fit)
 
 
 def stepwise(grow, lams, caps, w):
@@ -268,9 +278,11 @@ def stepwise(grow, lams, caps, w):
 
 
 def test_a_block_takes_at_most_two_walks(monkeypatch):
-    # the near points and the circle nodes walk the block in one run, and a
-    # block that misses the tolerance walks its points in one more: on the
-    # three sweeps of the benchmark's seed-0 sizes, and on one block
+    # a table's circle nodes walk in one run per FAR_SLICE blocks, and each
+    # block's near points (with a trace block's seeded tips) in one more; a
+    # single block's near points walk with its nodes, and if it misses the
+    # tolerance its far points walk in one more run: on the three sweeps
+    # of the benchmark's seed-0 sizes, and on one block
     walks = Walks(monkeypatch)
     d = DrivingFunction.from_function(lambda t: math.sin(3 * t), 1, n=201)
     xs, ys = np.meshgrid(np.linspace(-2.0, 2.0, 50), np.linspace(0.05, 3.05, 50))
@@ -290,8 +302,9 @@ def test_a_block_takes_at_most_two_walks(monkeypatch):
 @pytest.mark.parametrize("grow", [False, True])
 def test_near_points_and_nodes_walk_as_step_by_step(monkeypatch, grow):
     # a block with a zero-cap step, which the run leaves out: the points
-    # near the block, the nodes and, when the block walks exactly, every
-    # point get the bits of one grow_many/erase_many call per step
+    # near the block, which walk in the nodes' run, the nodes and, when the
+    # block walks exactly, every point get the bits of one
+    # grow_many/erase_many call per step
     lams, caps = sin_block()
     caps[5] = 0.0
     c = 0.5 * (min(lams) + max(lams))

@@ -7,12 +7,14 @@ branch rule, its derivative or the order of its float operations.  The
 scan is by name, so ``slit_root(...)`` and ``maps.slit_root(...)`` both
 count.  In the same way the walk has a fixed set of callers, among them
 ``chordal.evolve_slices``, the one forward walker over the step partition,
-and the far field of a block of steps, ``chordal._far_field_walk``, which
-walks a block's near points in one run.  The one-step helpers
-``erase_many`` and ``grow_many`` have a fixed set of callers too: the two
-sweeps that call the far field, ``trace_from_driving`` and
-``extract_driving``, for the points they walk one step at a time inside a
-block.
+and the far field's block walker, ``chordal._block_run``, which walks a
+table of blocks' circle nodes, or a block's near points, in one run.  The
+far field has one fitting routine, ``chordal._far_field_fit``, and one
+series evaluator, ``chordal._far_field_series``, called by the sweeps
+that fit a table of blocks and by the one-block form
+``chordal._far_field_walk``.  The one-step helpers ``erase_many`` and
+``grow_many`` have a fixed set of callers too: the extraction sweep, for
+the tips it reads one step at a time inside a block.
 """
 
 import ast
@@ -29,7 +31,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "loewner_kit")
 KERNEL = "slit_root"
 WALK = "slit_walk"
-FAR_FIELD = "_far_field_walk"
+BLOCK_RUN = "_block_run"
+FIT, SERIES, ONE_BLOCK = "_far_field_fit", "_far_field_series", "_far_field_walk"
 
 
 class _KernelCalls(ast.NodeVisitor):
@@ -78,10 +81,6 @@ class _StepCalls(_WalkCalls):
     names = {"erase_many", "grow_many"}
 
 
-class _FarFieldCalls(_WalkCalls):
-    names = {FAR_FIELD}
-
-
 def _scan(package, visitor):
     """Every call ``visitor`` finds in the ``.py`` files under ``package``."""
     found = []
@@ -103,14 +102,14 @@ def stray_kernel_calls(package=PACKAGE):
 
 
 # the step evaluation of a run, the one-step helpers the tracer wraps, the
-# forward walker over the partition, the far field of a block and the slit
-# family's backward walk
+# forward walker over the partition, the far field's block walker and the
+# slit family's backward walk
 WALK_CALLERS = {
     "SlitStep._eval_deriv",
     "erase_many",
     "grow_many",
     "evolve_slices",
-    FAR_FIELD,
+    BLOCK_RUN,
     "_uniformizer_walk",
 }
 
@@ -120,10 +119,14 @@ def stray_walk_calls(package=PACKAGE):
     return [c for c in _scan(package, _WalkCalls) if c[2] not in WALK_CALLERS]
 
 
-# the sweeps that walk the points inside a block one step at a time: the
-# tips seeded in a trace block, the tips read in an extraction block
-STEP_CALLERS = {"trace_from_driving", "extract_driving"}
-SWEEPS = ["evolve_points", "extract_driving", "trace_from_driving"]
+# the sweep that walks the points inside a block one step at a time: the
+# tips read in an extraction block (the tips seeded in a trace block join
+# the block's run)
+STEP_CALLERS = {"extract_driving"}
+# the sweeps that fit a table of blocks, and the one-block form, which the
+# extraction sweep calls
+TABLE_SWEEPS = ["evolve_points", "trace_from_driving"]
+FAR_FIELD_CALLERS = sorted([ONE_BLOCK, *TABLE_SWEEPS])
 
 
 def stray_step_calls(package=PACKAGE):
@@ -131,8 +134,13 @@ def stray_step_calls(package=PACKAGE):
     return [c for c in _scan(package, _StepCalls) if c[2] not in STEP_CALLERS]
 
 
-def far_field_callers(package=PACKAGE):
-    return sorted(c[2] for c in _scan(package, _FarFieldCalls))
+def far_field_callers(name, package=PACKAGE):
+    """The scopes that call ``name``, once each, sorted."""
+
+    class _Calls(_WalkCalls):
+        names = {name}
+
+    return sorted({c[2] for c in _scan(package, _Calls)})
 
 
 def test_slit_root_is_called_only_by_the_walk():
@@ -219,20 +227,22 @@ def test_one_far_field_for_both_sweeps():
     # a second block walker, such as a far field of its own in one sweep,
     # is a second copy of the radius, the series and its check
     assert stray_step_calls() == []
-    assert far_field_callers() == SWEEPS
+    assert far_field_callers(FIT) == FAR_FIELD_CALLERS
+    assert far_field_callers(SERIES) == FAR_FIELD_CALLERS
+    assert far_field_callers(ONE_BLOCK) == ["extract_driving"]
 
 
 def test_the_evolve_verb_reaches_the_far_field(tmp_path, monkeypatch):
     # evolve_points is on the far field's caller list only while the verb
     # calls it: 33 knots of sin(3t), 32 linear steps each, over [0, 1]
     blocks = []
-    far_field = chordal._far_field_walk
+    fit = chordal._far_field_fit
 
     def recording(grow, lams, caps, w):
-        blocks.append(grow)
-        return far_field(grow, lams, caps, w)
+        blocks.extend([grow] * len(lams))
+        return fit(grow, lams, caps, w)
 
-    monkeypatch.setattr(chordal, "_far_field_walk", recording)
+    monkeypatch.setattr(chordal, FIT, recording)
     driving = tmp_path / "sin.csv"
     driving.write_text("t,lambda\n" + "".join(
         f"{k / 32!r},{math.sin(3 * k / 32)!r}\n" for k in range(33)
@@ -251,11 +261,12 @@ def test_step_scan_flags_a_second_block_walker(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "chordal.py").write_text(textwrap.dedent("""
-        def _far_field_walk(grow, lams, caps, w):
+        def _far_field_fit(grow, lams, caps, w):
             return slit_walk(w, None, lams, [2.0 * cap for cap in caps], None)[0]
 
         def trace_from_driving(driving, grid):
-            return _far_field_walk(False, [], [], erase_many(grid, 0.0, 1.0))
+            _far_field_fit(False, [], [], grid)
+            return _far_field_fit(False, [], [], erase_many(grid, 0.0, 1.0))
 
         def extract_driving(trace):
             return _blocks(trace)
@@ -265,8 +276,12 @@ def test_step_scan_flags_a_second_block_walker(tmp_path):
                 w = grow_many(w, lam, 0.5)
             return w
     """))
-    assert stray_step_calls(str(pkg)) == [("chordal.py", 13, "_blocks")]
-    assert far_field_callers(str(pkg)) == ["trace_from_driving"]
+    assert stray_step_calls(str(pkg)) == [
+        ("chordal.py", 7, "trace_from_driving"),
+        ("chordal.py", 14, "_blocks"),
+    ]
+    assert far_field_callers(FIT, str(pkg)) == ["trace_from_driving"]
+    assert far_field_callers(SERIES, str(pkg)) == []
 
 
 def test_interior_points_walk_without_the_collision_check(monkeypatch):

@@ -126,7 +126,8 @@ def evolve_points(
     k0 = first + 1 + blocks * FAR_BLOCK
     rows = steps[first + 1 : k0].reshape(blocks, FAR_BLOCK, 3)
     lams, caps = rows[:, :, 2], rows[:, :, 1] - rows[:, :, 0]
-    fits, _ = _far_field_fit(False, lams, caps, np.empty((blocks, 0), dtype=complex))
+    discs = _far_field_discs(False, lams, caps)
+    fits, _ = _far_field_fit(False, lams, caps, discs, np.empty((blocks, 0), dtype=complex))
     for i, fit in enumerate(fits):
         near = _far_field_series(fit, x)
         if near.size:
@@ -355,29 +356,21 @@ def _block_run(grow: bool, lams: np.ndarray, caps: np.ndarray, z: np.ndarray, ea
     last: grow steps when ``grow`` (extraction), else erase steps (traces,
     ``evolve``).
 
-    A step with ``cap == 0.0`` is the identity, as in
-    ``grow_many``/``erase_many``, and is left out.  A one-row table walks
-    its row as a 1-d array with float steps, in one
+    A one-row table walks its row as a 1-d array with float steps, in one
     :func:`~loewner_kit.maps.slit_walk` run that calls ``each(j, z, d)``
     after its j-th step; a (1, 1) lambda would cost each numpy operation
-    about 3 us more, for the same floats.  In a larger table the rows with
-    the same number of steps walk them in one run, step j of every row at
-    once, with its lambda and c broadcast as (rows, 1).
+    about 3 us more, for the same floats.  A step with ``cap == 0.0`` is
+    the identity, as in ``grow_many``/``erase_many``, and is left out.  A
+    larger table walks step j of every row at once, with its lambda and c
+    broadcast as (rows, 1); its caps must all be positive, as those of the
+    table fits of ``evolve_points`` (a partition with no zero-length row)
+    and ``trace_from_driving`` (a strictly increasing grid) are.
     """
     sign = 2.0 if grow else -2.0
     if len(z) == 1:
         steps = [(lam, sign * cap) for lam, cap in zip(lams[0].tolist(), caps[0].tolist()) if cap != 0.0]
         return slit_walk(z[0], None, [lam for lam, _ in steps], [c for _, c in steps], each)[0][None]
-    keep = caps != 0.0
-    counts = keep.sum(axis=1)
-    out = np.empty_like(z)
-    # a sorted set, not np.unique: its first call loads a megabyte of numpy
-    for k in sorted(set(counts.tolist())):
-        rows = np.flatnonzero(counts == k)
-        run_lams = lams[rows][keep[rows]].reshape(rows.size, k).T[:, :, None]
-        run_cs = sign * caps[rows][keep[rows]].reshape(rows.size, k).T[:, :, None]
-        out[rows] = slit_walk(z[rows], None, run_lams, run_cs, each)[0]
-    return out
+    return slit_walk(z, None, lams.T[:, :, None], sign * caps.T[:, :, None], each)[0]
 
 
 def _far_field_discs(grow: bool, lams: np.ndarray, caps: np.ndarray):
@@ -391,20 +384,23 @@ def _far_field_discs(grow: bool, lams: np.ndarray, caps: np.ndarray):
     return 0.5 * (lo + hi), FAR_RADIUS * (0.5 * (hi - lo) + reach)
 
 
-def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, w: np.ndarray):
+def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, discs, w: np.ndarray):
     """The Laurent series of every block of slit steps of the (rows, steps)
     table (``lams``, ``caps``), each block's steps first to last: grow
     steps when ``grow`` (extraction), else erase steps (traces,
-    ``evolve``).  Returns a list with each block's (c, rho, b, ok), and
-    the (rows, n) points ``w``, row i after block i's exact steps.
+    ``evolve``).  ``discs`` is the blocks' (c, rho) from
+    :func:`_far_field_discs`.  Returns a list with each block's (c, rho,
+    b, ok), and the (rows, n) points ``w``, row i after block i's exact
+    steps.
 
     Row i of ``w`` and the nodes of block i walk its exact steps together,
-    ``FAR_SLICE`` blocks to a :func:`_block_run`; the table callers
-    (``evolve_points``, ``trace_from_driving``) pass no points and fit
-    every block of a call this way, and :func:`_far_field_walk` passes a
-    block's near points.  A series depends only on its block's steps, so
-    a block's (c, rho, b, ok) are the same floats whether it is fitted in
-    a table or alone.
+    ``FAR_SLICE`` blocks to a :func:`_block_run`, so the node walk's
+    temporaries do not grow with the table; the fitted series, 24 floats
+    a block, are kept for the call.  The table callers (``evolve_points``,
+    ``trace_from_driving``) pass no points and fit every block of a call
+    this way, and :func:`_far_field_walk` passes a block's near points.
+    A series depends only on its block's steps, so a block's (c, rho, b,
+    ok) are the same floats whether it is fitted in a table or alone.
 
     Radius.  Let G be the block's map, C = sum(caps), c the midpoint of
     [min lams, max lams] and L its half-length.  G is analytic off a set
@@ -449,17 +445,17 @@ def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, w: np.ndarray
     residual (one matrix-vector product each): one product over the whole
     table rounds differently.
     """
-    c, rho = _far_field_discs(grow, lams, caps)
+    c, rho = discs
     unit, dft, synthesis = _far_field_basis()
-    nodes = c[:, None] + rho[:, None] * unit
     n = w.shape[1]
     walked = np.empty_like(w)
     fits = []
     for i in range(0, c.size, FAR_SLICE):
         part = slice(i, i + FAR_SLICE)
-        z = _block_run(grow, lams[part], caps[part], np.concatenate((w[part], nodes[part]), axis=1), None)
+        nodes = c[part, None] + rho[part, None] * unit
+        z = _block_run(grow, lams[part], caps[part], np.concatenate((w[part], nodes), axis=1), None)
         walked[part] = z[:, :n]
-        for ci, ri, moved in zip(c[part].tolist(), rho[part].tolist(), z[:, n:] - nodes[part]):
+        for ci, ri, moved in zip(c[part].tolist(), rho[part].tolist(), z[:, n:] - nodes):
             b = (dft @ moved).real
             # a NaN residual fails this test, so its block walks exactly
             ok = np.max(np.abs(moved - synthesis @ b)) <= FAR_TOL * (abs(ci) + ri)
@@ -467,16 +463,18 @@ def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, w: np.ndarray
     return fits, walked
 
 
-def _far_field_series(fit, w: np.ndarray) -> np.ndarray:
+def _far_field_series(fit, w: np.ndarray, far=None) -> np.ndarray:
     """Move the points of the 1-d array ``w`` beyond the circle of ``fit`` =
     (c, rho, b, ok), |w - c| > rho, in place by its series w + sum_k b_k
     (rho / (w - c))^k, by Horner's rule, and return the indices of the
     others, which the block's exact steps must take.  A block that is not
-    ok moves no point."""
+    ok moves no point.  ``far`` is the mask |w - c| > rho when the caller
+    has it already (:func:`_far_field_walk`)."""
     c, rho, b, ok = fit
     if not ok:
         return np.arange(w.size)
-    far = np.abs(w - c) > rho
+    if far is None:
+        far = np.abs(w - c) > rho
     if far.any():
         x = w[far]
         v = rho / (x - c)
@@ -494,22 +492,21 @@ def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndar
     block at a time (``extract_driving``): grow steps when ``grow``, else
     erase steps.
 
-    Points within the block's circle (:func:`_far_field_fit`) walk its
-    exact steps in the run of its nodes; the others take its series
-    (:func:`_far_field_series`), or one more run when the block is not
-    ok.  So a point's floats are those of the table form, fitted once for
-    a sweep's blocks, and depend on that point alone.
+    The points within the block's circle (:func:`_far_field_discs`) walk
+    its exact steps in the run of its nodes (:func:`_far_field_fit`), and
+    the others take its series (:func:`_far_field_series`); a block that
+    is not ok walks every point in one more run.  So a point's floats are
+    those of the table form, fitted once for a sweep's blocks, and depend
+    on that point alone.
     """
     lams, caps = np.array([lams], dtype=float), np.array([caps], dtype=float)
-    c, rho = _far_field_discs(grow, lams, caps)
-    far = np.abs(w - c[0]) > rho[0]
-    [fit], walked = _far_field_fit(grow, lams, caps, w[~far][None])
-    x = w[far]
-    exact = _far_field_series(fit, x)
-    if exact.size:
-        x[exact] = _block_run(grow, lams, caps, x[exact][None], None)[0]
-    out = np.empty_like(w)
-    out[~far], out[far] = walked[0], x
+    discs = _far_field_discs(grow, lams, caps)
+    far = np.abs(w - discs[0][0]) > discs[1][0]
+    [fit], [walked] = _far_field_fit(grow, lams, caps, discs, w[~far][None])
+    if not fit[3]:
+        return _block_run(grow, lams, caps, w[None], None)[0]
+    out = w.copy()
+    out[_far_field_series(fit, out, far)] = walked
     return out
 
 
@@ -571,7 +568,8 @@ def trace_from_driving(
     rows = slice(0, table * FAR_BLOCK)
     block_lams = lams[rows].reshape(table, FAR_BLOCK)[:, ::-1]
     block_caps = caps[rows].reshape(table, FAR_BLOCK)[:, ::-1]
-    fits, _ = _far_field_fit(False, block_lams, block_caps, np.empty((table, 0), dtype=complex))
+    discs = _far_field_discs(False, block_lams, block_caps)
+    fits, _ = _far_field_fit(False, block_lams, block_caps, discs, np.empty((table, 0), dtype=complex))
     for j0 in range((m - 2) // FAR_BLOCK * FAR_BLOCK, -1, -FAR_BLOCK):
         j1 = min(j0 + FAR_BLOCK, m - 1)
         later, near = vals[j1 + 1 :], np.empty(0, dtype=int)

@@ -261,9 +261,9 @@ class Walks:
             finally:
                 self._inside = False
 
-        def recording_fit(grow, lams, caps, w):
+        def recording_fit(grow, lams, caps, discs, w):
             self.blocks += len(lams)
-            return fit(grow, lams, caps, w)
+            return fit(grow, lams, caps, discs, w)
 
         monkeypatch.setattr(chordal, "slit_walk", recording_walk)
         monkeypatch.setattr(chordal, "_block_run", recording_run)

@@ -6,8 +6,9 @@ a time through the same routine (``chordal._far_field_walk``).
 
 A series depends only on its block's steps, so the table must give each
 block the floats of its one-block fit, and each sweep the floats of a
-sweep that fits one block at a time.  The one-block sweeps below are the
-two sweeps as they were before the table, their loops verbatim.
+sweep that fits one block at a time.  The oracle for those floats is
+``one_block_far_field`` below, the far field as it was before the table,
+copied here verbatim with the sweeps' loops of that time.
 """
 
 import math
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner_kit import DrivingFunction, chordal, evolve_points, trace_from_driving
+from loewner_kit import DrivingFunction, chordal, evolve_points, extract_driving, trace_from_driving
 from loewner_kit.chordal import COLLISION_TOL, FAR_BLOCK, erase_many
+from loewner_kit.maps import slit_walk
 
 
 def sin3t(n_sub=64):
@@ -37,6 +39,43 @@ def no_points(rows):
     return np.empty((rows, 0), dtype=complex)
 
 
+def one_block_far_field(grow, lams, caps, w):
+    """The far field of one block as it was before the table: the block's
+    nodes walk with its near points, the far points take the series."""
+    sign = 2.0 if grow else -2.0
+    run_lams = [lam for lam, cap in zip(lams, caps) if cap != 0.0]
+    run_cs = [sign * cap for cap in caps if cap != 0.0]
+    lo, hi = min(lams), max(lams)
+    c = 0.5 * (lo + hi)
+    total = math.fsum(caps)
+    reach = 2.0 * math.sqrt(total) if grow else math.sqrt(2.0 * total)
+    rho = chordal.FAR_RADIUS * (0.5 * (hi - lo) + reach)
+    far = np.abs(w - c) > rho
+    if far.any():
+        unit, dft, synthesis = chordal._far_field_basis()
+        near = np.flatnonzero(~far)
+        nodes = c + rho * unit
+        z = slit_walk(np.concatenate((w[near], nodes)), None, run_lams, run_cs, None)[0]
+        moved = z[near.size :] - nodes
+        b = (dft @ moved).real
+        if np.max(np.abs(moved - synthesis @ b)) <= chordal.FAR_TOL * (abs(c) + rho):
+            x = w[far]
+            v = rho / (x - c)
+            acc = np.full(x.shape, b[-1], dtype=complex)
+            for bk in b[-2::-1]:
+                acc *= v
+                acc += bk
+            out = np.empty_like(w)
+            out[near] = z[: near.size]
+            out[far] = x + acc * v
+            return out
+    return slit_walk(w, None, run_lams, run_cs, None)[0]
+
+
+def fit(grow, lams, caps, w):
+    return chordal._far_field_fit(grow, lams, caps, chordal._far_field_discs(grow, lams, caps), w)
+
+
 def same_fit(a, b):
     """Two blocks' (c, rho, b, ok), bit for bit."""
     return (
@@ -48,33 +87,36 @@ def same_fit(a, b):
 
 
 @st.composite
-def tables(draw):
+def tables(draw, rows=st.integers(1, 9), n=st.integers(0, 5)):
     """A (rows, steps) table of blocks whose rows differ in center and in
-    spread, some caps zero, and (rows, n) points around the blocks."""
+    spread, and (rows, n) points around the blocks at distances from 1e-3
+    to 1e2.  A one-row table may have zero caps, as an extraction block
+    may; the table fits of the sweeps have none."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = draw(st.integers(1, 9))
+    rows = draw(rows)
     steps = draw(st.integers(1, FAR_BLOCK))
     centers = rng.uniform(-3.0, 3.0, (rows, 1))
     spreads = 10.0 ** rng.uniform(-4.0, 0.5, (rows, 1))
     lams = centers + spreads * rng.uniform(-1.0, 1.0, (rows, steps))
     caps = 10.0 ** rng.uniform(-6.0, -1.0, (rows, steps))
-    caps[rng.uniform(size=(rows, steps)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
-    n = draw(st.integers(0, 5))
-    w = centers + rng.uniform(-2.0, 2.0, (rows, n)) + 1j * rng.uniform(1e-3, 2.0, (rows, n))
+    if rows == 1:
+        caps[rng.uniform(size=(rows, steps)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    n = draw(n)
+    w = centers + 10.0 ** rng.uniform(-3.0, 2.0, (rows, n)) * np.exp(1j * rng.uniform(1e-3, np.pi, (rows, n)))
     return lams, caps, w
 
 
 def fit_rows_one_at_a_time(grow, lams, caps, w):
     fits, walked = [], []
     for i in range(len(lams)):
-        [fit], [row] = chordal._far_field_fit(grow, lams[i : i + 1], caps[i : i + 1], w[i : i + 1])
-        fits.append(fit)
+        [one], [row] = fit(grow, lams[i : i + 1], caps[i : i + 1], w[i : i + 1])
+        fits.append(one)
         walked.append(row)
     return fits, np.array(walked).reshape(w.shape)
 
 
 def check_table_against_rows(grow, lams, caps, w):
-    fits, walked = chordal._far_field_fit(grow, lams, caps, w)
+    fits, walked = fit(grow, lams, caps, w)
     want_fits, want_walked = fit_rows_one_at_a_time(grow, lams, caps, w)
     assert len(fits) == len(lams)
     assert all(same_fit(a, b) for a, b in zip(fits, want_fits))
@@ -93,6 +135,19 @@ def test_the_table_fit_gives_the_bits_of_a_one_block_fit(table, grow, per_run):
         mp.setattr(chordal, "FAR_SLICE", per_run)
         check_table_against_rows(grow, lams, caps, w)
     check_table_against_rows(grow, lams, caps, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(rows=st.just(1), n=st.integers(0, 40)), st.booleans(), st.booleans())
+def test_the_one_block_form_gives_the_bits_of_the_old_far_field(table, grow, exact):
+    # near and far points, zero-cap steps, and a block that misses the
+    # tolerance (FAR_TOL = 0) and walks every point exactly
+    [lams], [caps], [w] = table
+    with pytest.MonkeyPatch.context() as mp:
+        if exact:
+            mp.setattr(chordal, "FAR_TOL", 0.0)
+        got = chordal._far_field_walk(grow, lams.tolist(), caps.tolist(), w)
+        assert got.tobytes() == one_block_far_field(grow, lams.tolist(), caps.tolist(), w).tobytes()
 
 
 @pytest.mark.parametrize("grow", [False, True])
@@ -116,7 +171,7 @@ def test_a_nan_basis_fails_every_block(monkeypatch):
 
 
 def evolve_one_block_at_a_time(driving, s, t, points):
-    """``evolve_points`` with each block fitted alone by ``_far_field_walk``."""
+    """``evolve_points`` with each block through ``one_block_far_field``."""
     z = np.array(points, dtype=complex)
     first, last = driving._rows(s, t)
     blocks = (last - first - 1) // FAR_BLOCK
@@ -129,14 +184,14 @@ def evolve_one_block_at_a_time(driving, s, t, points):
     rows = steps[first + 1 : k0]
     lams, caps = rows[:, 2].tolist(), (rows[:, 1] - rows[:, 0]).tolist()
     for j in range(0, len(lams), FAR_BLOCK):
-        x = chordal._far_field_walk(False, lams[j : j + FAR_BLOCK], caps[j : j + FAR_BLOCK], x)
+        x = one_block_far_field(False, lams[j : j + FAR_BLOCK], caps[j : j + FAR_BLOCK], x)
     z[rest] = chordal.evolve_slices(driving, np.full(x.size, steps[k0, 0]), np.full(x.size, t), x)
     return z
 
 
 def trace_one_block_at_a_time(driving, grid):
-    """The tips of ``trace_from_driving`` with each block fitted alone by
-    ``_far_field_walk`` and the seeded tips walked one step at a time."""
+    """The tips of ``trace_from_driving`` with each block through
+    ``one_block_far_field`` and the seeded tips walked one step at a time."""
     work = [float(u) for u in grid]
     tips = []
     if work and work[0] == 0.0:
@@ -151,7 +206,7 @@ def trace_one_block_at_a_time(driving, grid):
     for j0 in range((m - 2) // FAR_BLOCK * FAR_BLOCK, -1, -FAR_BLOCK):
         j1 = min(j0 + FAR_BLOCK, m - 1)
         if j1 + 1 < m:
-            vals[j1 + 1 :] = chordal._far_field_walk(
+            vals[j1 + 1 :] = one_block_far_field(
                 False, lam_list[j0:j1][::-1], cap_list[j0:j1][::-1], vals[j1 + 1 :]
             )
         for j in range(j1 - 1, j0 - 1, -1):
@@ -183,6 +238,16 @@ def test_trace_is_the_one_block_sweep(n):
         assert got.tobytes() == trace_one_block_at_a_time(d, times).tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 34, 35, 100, 2001])
+def test_extract_is_the_old_one_block_sweep(monkeypatch, n):
+    tips = [s.tip for s in trace_from_driving(sin3t(), np.linspace(0.0, 1.0, n))]
+    got = extract_driving(tips)
+    monkeypatch.setattr(chordal, "_far_field_walk", one_block_far_field)
+    want = extract_driving(tips)
+    assert np.array(got.knots).tobytes() == np.array(want.knots).tobytes()
+    assert got.horizon == want.horizon
+
+
 def test_evolve_points_walks_the_table_once(monkeypatch):
     # 201 linear knots of sin(3t), n_sub 64, over [0, 1]: 12,800 rows,
     # 399 blocks.  Fitted one block at a time, the call made 403 runs:
@@ -201,8 +266,8 @@ def test_evolve_points_walks_the_table_once(monkeypatch):
         finally:
             inside.pop()
 
-    def recording(fit, w):
-        near = series(fit, w)
+    def recording(fit, w, far=None):
+        near = series(fit, w, far)
         near_blocks.append(near.size > 0)
         return near
 

@@ -135,12 +135,12 @@ def stray_step_calls(package=PACKAGE):
 
 
 def far_field_callers(name, package=PACKAGE):
-    """The scopes that call ``name``, once each, sorted."""
+    """The scope of each call of ``name``, one entry per call site, sorted."""
 
     class _Calls(_WalkCalls):
         names = {name}
 
-    return sorted({c[2] for c in _scan(package, _Calls)})
+    return sorted(c[2] for c in _scan(package, _Calls))
 
 
 def test_slit_root_is_called_only_by_the_walk():
@@ -238,9 +238,9 @@ def test_the_evolve_verb_reaches_the_far_field(tmp_path, monkeypatch):
     blocks = []
     fit = chordal._far_field_fit
 
-    def recording(grow, lams, caps, w):
+    def recording(grow, lams, caps, discs, w):
         blocks.extend([grow] * len(lams))
-        return fit(grow, lams, caps, w)
+        return fit(grow, lams, caps, discs, w)
 
     monkeypatch.setattr(chordal, FIT, recording)
     driving = tmp_path / "sin.csv"
@@ -261,12 +261,11 @@ def test_step_scan_flags_a_second_block_walker(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "chordal.py").write_text(textwrap.dedent("""
-        def _far_field_fit(grow, lams, caps, w):
+        def _far_field_fit(grow, lams, caps, discs, w):
             return slit_walk(w, None, lams, [2.0 * cap for cap in caps], None)[0]
 
         def trace_from_driving(driving, grid):
-            _far_field_fit(False, [], [], grid)
-            return _far_field_fit(False, [], [], erase_many(grid, 0.0, 1.0))
+            return _far_field_fit(False, [], [], None, erase_many(grid, 0.0, 1.0))
 
         def extract_driving(trace):
             return _blocks(trace)
@@ -277,11 +276,18 @@ def test_step_scan_flags_a_second_block_walker(tmp_path):
             return w
     """))
     assert stray_step_calls(str(pkg)) == [
-        ("chordal.py", 7, "trace_from_driving"),
-        ("chordal.py", 14, "_blocks"),
+        ("chordal.py", 6, "trace_from_driving"),
+        ("chordal.py", 13, "_blocks"),
     ]
     assert far_field_callers(FIT, str(pkg)) == ["trace_from_driving"]
     assert far_field_callers(SERIES, str(pkg)) == []
+    # a sweep that fits from a second place counts twice
+    (pkg / "chordal.py").write_text(textwrap.dedent("""
+        def trace_from_driving(driving, grid):
+            _far_field_fit(False, [], [], None, grid)
+            return _far_field_fit(False, [], [], None, grid)
+    """))
+    assert far_field_callers(FIT, str(pkg)) == ["trace_from_driving"] * 2
 
 
 def test_interior_points_walk_without_the_collision_check(monkeypatch):

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -354,22 +355,19 @@ def _block_run(grow: bool, lams: np.ndarray, caps: np.ndarray, z: np.ndarray, ea
     """Row i of the (rows, n) array ``z`` after the block of slit steps
     (``lams[i]``, ``caps[i]``) of a (rows, steps) table, first step to
     last: grow steps when ``grow`` (extraction), else erase steps (traces,
-    ``evolve``).
+    ``evolve``).  Every cap is positive: the partition of ``evolve_points``
+    has no zero-length row, a trace grid is strictly increasing, and an
+    extraction tip lies at least ``COLLISION_TOL`` above the real axis.
 
     A one-row table walks its row as a 1-d array with float steps, in one
     :func:`~loewner_kit.maps.slit_walk` run that calls ``each(j, z, d)``
     after its j-th step; a (1, 1) lambda would cost each numpy operation
-    about 3 us more, for the same floats.  A step with ``cap == 0.0`` is
-    the identity, as in ``grow_many``/``erase_many``, and is left out.  A
-    larger table walks step j of every row at once, with its lambda and c
-    broadcast as (rows, 1); its caps must all be positive, as those of the
-    table fits of ``evolve_points`` (a partition with no zero-length row)
-    and ``trace_from_driving`` (a strictly increasing grid) are.
+    about 3 us more, for the same floats.  A larger table walks step j of
+    every row at once, with its lambda and c broadcast as (rows, 1).
     """
     sign = 2.0 if grow else -2.0
     if len(z) == 1:
-        steps = [(lam, sign * cap) for lam, cap in zip(lams[0].tolist(), caps[0].tolist()) if cap != 0.0]
-        return slit_walk(z[0], None, [lam for lam, _ in steps], [c for _, c in steps], each)[0][None]
+        return slit_walk(z[0], None, lams[0].tolist(), (sign * caps[0]).tolist(), each)[0][None]
     return slit_walk(z, None, lams.T[:, :, None], sign * caps.T[:, :, None], each)[0]
 
 
@@ -601,9 +599,9 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
     elementary slit from every remaining point with the normalizing step
     lambda + sqrt((w - lambda)^2 + 2 cap).  Accepts a list of
     :class:`TraceSample` or of complex points, starting at the root on the
-    real axis (to 1e-9) and staying strictly inside the half-plane
-    afterwards.  The round trip with :func:`trace_from_driving` converges
-    at first order in the number of points.
+    real axis (to ``COLLISION_TOL``) and lying at least ``COLLISION_TOL``
+    above it afterwards.  The round trip with :func:`trace_from_driving`
+    converges at first order in the number of points.
 
     The points are unzipped in blocks of ``FAR_BLOCK`` (32): each tip of
     a block is read after the block's earlier steps, and then every later
@@ -622,15 +620,19 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
     ``FAR_BLOCK`` + 1 points after the root walks only exact steps, with
     the floats of the all-exact sweep.
 
-    Raises :class:`SelfIntersection` when an erased point drops below
-    Im = 1e-9, which is how a non-simple input manifests, and
-    :class:`InvalidMap` for two equal consecutive points (a trace sampled
-    finer than float resolution), which no curve step separates.  Grow
-    steps only lower Im w, so checking the points after a block once, when
-    the block is done, raises exactly when a check after each step would;
-    such a message names the block's steps ("steps 33-64") rather than the
-    one step, and the point with the lowest Im w then, which need not be
-    the first to drop.
+    One rule keeps the points in the half-plane: a point less than
+    ``COLLISION_TOL`` above the real axis has hit the hull.  A given point
+    there raises :class:`InvalidMap`, and an unzipped one
+    :class:`SelfIntersection`, which is how a non-simple input manifests;
+    so every step has a capacity of at least COLLISION_TOL^2 / 2.  Grow
+    steps only lower Im w, so each tip is checked once, when it is read,
+    and the points after a block once, when the block is done: this raises
+    when a check after each step would, up to round-off.  The message
+    names the steps since the last check ("steps 33-40" for a tip, "steps
+    33-64" after a block), and after a block the point with the lowest
+    Im w, which need not be the first to drop.  Two equal consecutive
+    points (a trace sampled finer than float resolution), which no curve
+    step separates, raise :class:`InvalidMap`.
     """
     pts = np.asarray(
         [p.tip if isinstance(p, TraceSample) else complex(p) for p in trace],
@@ -638,10 +640,15 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
     )
     if pts.size == 0:
         raise InvalidMap("extract_driving needs at least the root point")
-    if not (cmath.isfinite(pts[0]) and abs(pts[0].imag) <= 1e-9):
+    if not (cmath.isfinite(pts[0]) and abs(pts[0].imag) <= COLLISION_TOL):
         raise InvalidMap(f"polyline must start on the real axis, got {pts[0]}")
-    if not np.all(np.isfinite(pts[1:]) & (pts[1:].imag > 0.0)):
-        raise InvalidMap("polyline must lie strictly inside the half-plane after the root")
+    low = np.flatnonzero(~(np.isfinite(pts[1:]) & (pts[1:].imag >= COLLISION_TOL)))
+    if low.size:
+        k = int(low[0]) + 1
+        raise InvalidMap(
+            f"point {k} is {pts[k]}: the polyline must be finite and lie in the half-plane "
+            f"after the root, at least {COLLISION_TOL:g} above the real axis"
+        )
     same = np.flatnonzero(pts[1:] == pts[:-1])
     if same.size:
         k = int(same[0])
@@ -650,21 +657,17 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
             f"float resolution, so no curve step lies between them"
         )
 
+    def left(k: int, first: int, last: int) -> SelfIntersection:
+        steps = f"step {last}" if first == last else f"steps {first}-{last}"
+        return SelfIntersection(
+            f"point {k + 1} left the half-plane while unzipping {steps}; "
+            f"the curve is not simple at this resolution"
+        )
+
     lams: List[float] = []
     caps: List[float] = []
     work = pts[1:].copy()
     n = work.size
-
-    def unzipped(first: int, rest: np.ndarray, steps: str) -> np.ndarray:
-        """``rest``, the points from work index ``first`` on, after ``steps``."""
-        if np.any(rest.imag < 1e-9):
-            bad = int(np.argmin(rest.imag))
-            raise SelfIntersection(
-                f"point {first + bad + 1} left the half-plane while unzipping "
-                f"{steps}; the curve is not simple at this resolution"
-            )
-        return rest
-
     # blocks [k0, k1) of points: each tip of the block is read after the
     # block's earlier steps, then the points after k1 take the whole block
     # through the far field
@@ -672,29 +675,21 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
         k1 = min(k0 + FAR_BLOCK, n)
         for k in range(k0, k1):
             z = complex(work[k])
-            lam_k = z.real
-            cap_k = 0.5 * z.imag * z.imag
-            lams.append(lam_k)
-            caps.append(cap_k)
+            if z.imag < COLLISION_TOL:
+                raise left(k, k0 + 1, k)
+            lams.append(z.real)
+            caps.append(0.5 * z.imag * z.imag)
             if k + 1 < k1:
-                rest = grow_many(work[k + 1 : k1], lam_k, cap_k)
-                work[k + 1 : k1] = unzipped(k + 1, rest, f"step {k + 1}")
+                work[k + 1 : k1] = grow_many(work[k + 1 : k1], lams[-1], caps[-1])
         if k1 < n:
-            rest = _far_field_walk(True, lams[k0:], caps[k0:], work[k1:])
-            work[k1:] = unzipped(k1, rest, f"steps {k0 + 1}-{k1}")
+            work[k1:] = _far_field_walk(True, lams[k0:], caps[k0:], work[k1:])
+            if np.any(work[k1:].imag < COLLISION_TOL):
+                raise left(k1 + int(np.argmin(work[k1:].imag)), k0 + 1, k1)
 
     if not lams:
         return DrivingFunction(((0.0, float(pts[0].real)),), "const", 0.0)
-    knots: List[Tuple[float, float]] = []
-    cum = 0.0
-    for lam_k, cap_k in zip(lams, caps):
-        if cap_k <= 0.0:
-            continue
-        knots.append((cum, lam_k))
-        cum += cap_k
-    if not knots:
-        return DrivingFunction(((0.0, float(pts[0].real)),), "const", 0.0)
-    return DrivingFunction(tuple(knots), "const", cum)
+    times = list(itertools.accumulate(caps, initial=0.0))
+    return DrivingFunction(tuple(zip(times, lams)), "const", times[-1])
 
 
 # ---------------------------------------------------------------------------

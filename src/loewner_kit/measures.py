@@ -111,14 +111,6 @@ class MeasureSpec:
             out = out + _integrate_piece(piece, z, power, max_nodes)
         return out
 
-    def moment(self, k: int) -> float:
-        """k-th moment, used for tail bookkeeping."""
-        total = sum(m * x**k for x, m in self.atoms)
-        for piece in self.density:
-            shifted = tuple(0.0 for _ in range(k)) + tuple(piece.coeffs)
-            total += DensityPiece(piece.lo, piece.hi, shifted).mass
-        return total
-
     def cayley_weight(self) -> float:
         """Integral of x / (1 + x^2), the Nevanlinna centering term."""
         total = sum(m * x / (1.0 + x * x) for x, m in self.atoms)

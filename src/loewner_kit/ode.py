@@ -40,7 +40,9 @@ def integrate_rk45(
 
     ``guard(t, y)`` runs after every accepted step and may raise to abort
     (used for domain-exit detection).  Raises :class:`NoConvergence` when
-    the budget of ``MAX_STEPS`` steps is exhausted.
+    the budget of ``MAX_STEPS`` steps is exhausted, or when the step falls
+    below 1e-14 of the interval, as it does where ``f`` returns NaN: a NaN
+    error estimate rejects the step and shrinks it fivefold.
     """
     if t1 <= t0:
         return complex(y0)
@@ -68,7 +70,8 @@ def integrate_rk45(
                 guard(t, y)
             if t >= t1 - 1e-15 * max(1.0, abs(t1)):
                 return y
-        factor = 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0
+        # a zero error estimate grows the step, a NaN one shrinks it
+        factor = 0.9 * (scale / err) ** 0.2 if err > 0 else (5.0 if err == 0 else 0.2)
         h *= min(5.0, max(0.2, factor))
         if h < h_min:
             raise NoConvergence(f"step size underflow at t = {t}")

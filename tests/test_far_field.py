@@ -301,18 +301,18 @@ def test_a_block_takes_at_most_two_walks(monkeypatch):
 
 @pytest.mark.parametrize("grow", [False, True])
 def test_near_points_and_nodes_walk_as_step_by_step(monkeypatch, grow):
-    # a block with a zero-cap step, which the run leaves out: the points
-    # near the block, which walk in the nodes' run, the nodes and, when the
-    # block walks exactly, every point get the bits of one
+    # a block with a step of the smallest cap an extraction step can have:
+    # the points near the block, which walk in the nodes' run, the nodes
+    # and, when the block walks exactly, every point get the bits of one
     # grow_many/erase_many call per step
     lams, caps = sin_block()
-    caps[5] = 0.0
+    caps[5] = 0.5 * chordal.COLLISION_TOL**2
     c = 0.5 * (min(lams) + max(lams))
     w = np.concatenate((c + np.linspace(-0.2, 0.2, 9) + 0.05j, 0.3 + np.linspace(1.0, 3.0, 20) * 1j))
     walks = Walks(monkeypatch)
     got = chordal._far_field_walk(grow, lams, caps, w)
     [(z, run_lams, run_cs, out)] = walks.runs
-    assert len(run_cs) == chordal.FAR_BLOCK - 1
+    assert len(run_cs) == chordal.FAR_BLOCK
     assert np.array_equal(z[:9], w[:9]) and z.size == 9 + chordal.FAR_NODES // 2
     assert np.array_equal(out, stepwise(grow, lams, caps, z))
     assert np.array_equal(got[:9], out[:9])

@@ -20,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewner_kit import DrivingFunction, chordal, evolve_points, extract_driving, trace_from_driving
-from loewner_kit.chordal import COLLISION_TOL, FAR_BLOCK, erase_many
+from loewner_kit.chordal import COLLISION_TOL, FAR_BLOCK, erase_many, solve_phi
 from loewner_kit.maps import slit_walk
+
+from test_far_field import trace_oracle
 
 
 def sin3t(n_sub=64):
@@ -90,8 +92,8 @@ def same_fit(a, b):
 def tables(draw, rows=st.integers(1, 9), n=st.integers(0, 5)):
     """A (rows, steps) table of blocks whose rows differ in center and in
     spread, and (rows, n) points around the blocks at distances from 1e-3
-    to 1e2.  A one-row table may have zero caps, as an extraction block
-    may; the table fits of the sweeps have none."""
+    to 1e2.  Some steps have the smallest cap an extraction step can
+    have, COLLISION_TOL^2 / 2; no sweep takes a zero cap."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = draw(rows)
     steps = draw(st.integers(1, FAR_BLOCK))
@@ -99,8 +101,8 @@ def tables(draw, rows=st.integers(1, 9), n=st.integers(0, 5)):
     spreads = 10.0 ** rng.uniform(-4.0, 0.5, (rows, 1))
     lams = centers + spreads * rng.uniform(-1.0, 1.0, (rows, steps))
     caps = 10.0 ** rng.uniform(-6.0, -1.0, (rows, steps))
-    if rows == 1:
-        caps[rng.uniform(size=(rows, steps)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    smallest = rng.uniform(size=(rows, steps)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    caps[smallest] = 0.5 * COLLISION_TOL**2
     n = draw(n)
     w = centers + 10.0 ** rng.uniform(-3.0, 2.0, (rows, n)) * np.exp(1j * rng.uniform(1e-3, np.pi, (rows, n)))
     return lams, caps, w
@@ -140,8 +142,8 @@ def test_the_table_fit_gives_the_bits_of_a_one_block_fit(table, grow, per_run):
 @settings(max_examples=60, deadline=None)
 @given(tables(rows=st.just(1), n=st.integers(0, 40)), st.booleans(), st.booleans())
 def test_the_one_block_form_gives_the_bits_of_the_old_far_field(table, grow, exact):
-    # near and far points, zero-cap steps, and a block that misses the
-    # tolerance (FAR_TOL = 0) and walks every point exactly
+    # near and far points, steps of the smallest cap, and a block that
+    # misses the tolerance (FAR_TOL = 0) and walks every point exactly
     [lams], [caps], [w] = table
     with pytest.MonkeyPatch.context() as mp:
         if exact:
@@ -168,6 +170,27 @@ def test_a_nan_basis_fails_every_block(monkeypatch):
     fits = check_table_against_rows(False, lams, caps, no_points(4))
     assert not any(ok for *_, ok in fits)
     assert all(np.isnan(b).all() for _, _, b, _ in fits)
+
+
+@pytest.mark.parametrize("failure", ["zero tolerance", "NaN residual"])
+def test_the_table_sweeps_walk_a_failed_block_exactly(monkeypatch, failure):
+    # every block of the table misses FAR_TOL or has a NaN residual, so
+    # each sweep walks every point through every block exactly: evolve
+    # gives the bits of solve_phi, and the trace those of the exact sweep
+    d, z, times = sin3t(), grid(15), np.linspace(0.0, 1.0, 2001)
+    exact = solve_phi(d, 0.0, 1.0, z), trace_oracle(d, times)
+
+    def sweeps():
+        tips = [s.tip for s in trace_from_driving(d, times)]
+        return evolve_points(d, 0.0, 1.0, z).tobytes(), np.array(tips, dtype=complex).tobytes()
+
+    assert all(a != b.tobytes() for a, b in zip(sweeps(), exact))  # the series
+    if failure == "zero tolerance":
+        monkeypatch.setattr(chordal, "FAR_TOL", 0.0)
+    else:
+        unit, dft, synthesis = chordal._far_field_basis()
+        monkeypatch.setattr(chordal, "_far_field_basis", lambda: (unit, np.full_like(dft, np.nan), synthesis))
+    assert sweeps() == tuple(b.tobytes() for b in exact)
 
 
 def evolve_one_block_at_a_time(driving, s, t, points):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
@@ -98,15 +97,24 @@ def evolve_points(
     that starts below Im w = 2 ``COLLISION_TOL`` walks the whole window
     exactly, with the collision check, so :class:`StepCollision` names the
     point and time that :func:`solve_phi` names; the others cannot collide.
-    Every block of interior rows takes a point further than ``FAR_RADIUS``
-    block radii from its center through its Laurent series
+    The far field has two levels.  Each run of ``FAR_GROUP`` (8)
+    consecutive blocks from the first is also fitted as one block of 256
+    rows, a group: a point further than ``FAR_RADIUS`` group radii from
+    the group's center takes the group's Laurent series
     (:func:`_far_field_series`), with an error of at most ``FAR_TOL``
-    (|c| + rho) per block, and walks the others exactly, in one run per
-    block that has any.  The blocks' series depend only on the driving
-    term, so they are fitted once per call, as one table
-    (:func:`_far_field_fit`): one node walk per ``FAR_SLICE`` blocks.  A
-    point's floats depend on that point alone, not on the other points of
-    the array.  A window with fewer than ``FAR_BLOCK`` interior rows walks
+    (|c| + rho) for the group.  The other points walk the group's blocks,
+    as do all points for the blocks after the last group: a point further
+    than ``FAR_RADIUS`` block radii from a block's center takes the
+    block's series, with an error of at most ``FAR_TOL`` (|c| + rho) for
+    the block, and the others walk the block exactly, in one run per
+    block that has any.  A group is used only where its error term is at
+    most the sum of its blocks' (on sin(3t) it is at most 0.37 of it), so
+    the error stays within the sum of the blocks' terms.  The series
+    depend only on the driving term, so each level is fitted once per
+    call, as one table (:func:`_far_field_fit`): one node walk per
+    ``FAR_SLICE`` blocks, and one per ``FAR_SLICE`` groups.  A point's
+    floats depend on that point alone, not on the other points of the
+    array.  A window with fewer than ``FAR_BLOCK`` interior rows walks
     exactly, with the floats of :func:`solve_phi`.
     """
     w = np.asarray(points, dtype=complex)
@@ -129,10 +137,30 @@ def evolve_points(
     lams, caps = rows[:, :, 2], rows[:, :, 1] - rows[:, :, 0]
     discs = _far_field_discs(False, lams, caps)
     fits, _ = _far_field_fit(False, lams, caps, discs, np.empty((blocks, 0), dtype=complex))
-    for i, fit in enumerate(fits):
-        near = _far_field_series(fit, x)
+
+    def through_blocks(i0: int, i1: int, y: np.ndarray) -> np.ndarray:
+        # y after blocks i0 to i1 - 1: each block's series, and one exact
+        # run per block for the points within its circle
+        for i in range(i0, i1):
+            near = _far_field_series(fits[i], y)
+            if near.size:
+                y[near] = _block_run(False, lams[i : i + 1], caps[i : i + 1], y[near][None], None)[0]
+        return y
+
+    span = blocks // FAR_GROUP * FAR_GROUP
+    group = FAR_GROUP * FAR_BLOCK
+    glams, gcaps = lams[:span].reshape(-1, group), caps[:span].reshape(-1, group)
+    gdiscs = _far_field_discs(False, glams, gcaps)
+    # a group whose error term exceeds the sum of its blocks' is not used
+    terms = (np.abs(discs[0]) + discs[1])[:span].reshape(-1, FAR_GROUP).sum(axis=1)
+    used = np.abs(gdiscs[0]) + gdiscs[1] <= terms
+    gfits, _ = _far_field_fit(False, glams, gcaps, gdiscs, np.empty((span // FAR_GROUP, 0), dtype=complex))
+    for g, (c, rho, b, ok) in enumerate(gfits):
+        near = _far_field_series((c, rho, b, ok and used[g]), x)
         if near.size:
-            x[near] = _block_run(False, lams[i : i + 1], caps[i : i + 1], x[near][None], None)[0]
+            x[near] = through_blocks(g * FAR_GROUP, (g + 1) * FAR_GROUP, x[near])
+    if span < blocks:
+        x = through_blocks(span, blocks, x)
     z[rest] = evolve_slices(driving, np.full(x.size, steps[k0, 0]), np.full(x.size, t), x)
     return z[0] if w.ndim == 0 else z.reshape(w.shape)
 
@@ -334,9 +362,10 @@ class TraceSample:
 FAR_BLOCK = 32  # steps per block
 FAR_TERMS = 24  # Laurent terms kept
 FAR_RADIUS = 3.0  # far points lie beyond FAR_RADIUS block radii
-FAR_NODES = 64  # nodes on the circle, of which the upper half are walked
+FAR_NODES = 32  # nodes on the circle, of which the upper half are walked
 FAR_TOL = 1e-14  # largest series error on the circle, per unit of |c| + rho
-FAR_SLICE = 256  # blocks whose nodes walk in one run: 128 KB per temporary
+FAR_SLICE = 256  # blocks whose nodes walk in one run: 64 KB per temporary
+FAR_GROUP = 8  # blocks per group in evolve_points: one series for all eight
 
 
 @functools.cache
@@ -395,6 +424,7 @@ def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, discs, w: np.
     ``FAR_SLICE`` blocks to a :func:`_block_run`, so the node walk's
     temporaries do not grow with the table; the fitted series, 24 floats
     a block, are kept for the call.  The table callers (``evolve_points``,
+    for its blocks and for its groups of 256 steps, and
     ``trace_from_driving``) pass no points and fit every block of a call
     this way, and :func:`_far_field_walk` passes a block's near points.
     A series depends only on its block's steps, so a block's (c, rho, b,
@@ -427,9 +457,10 @@ def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, discs, w: np.
     nodes of the upper half (angles pi (2 p + 1) / FAR_NODES, off the real
     axis) walk the exact steps; the lower half is their conjugate.  A
     discrete Fourier transform of G(w) - w there gives b_k = a_k rho^-k
-    for k <= FAR_TERMS, up to aliasing of the terms beyond FAR_NODES -
-    FAR_TERMS.  :func:`_far_field_series` takes a point with |w - c| > rho
-    to w + sum_k b_k (rho / (w - c))^k.
+    for k <= FAR_TERMS, up to aliasing: the term FAR_NODES + k (and
+    2 FAR_NODES + k, ...) folds onto b_k, and no term below FAR_NODES does,
+    so 32 nodes resolve 24 terms.  :func:`_far_field_series` takes a point
+    with |w - c| > rho to w + sum_k b_k (rho / (w - c))^k.
 
     Error.  E = G - w - series is analytic on |w - c| > R and vanishes at
     infinity, so by the maximum modulus principle its largest value on
@@ -438,10 +469,16 @@ def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, discs, w: np.
     circle.  E at the nodes, the exact walk minus the series, is checked
     against FAR_TOL (|c| + rho): ok is False for a block that misses it,
     and for a NaN residual, and such a block walks every point exactly.
-    On the seed-0 sin(3 t) trace of 8,001 points the largest node
-    residual is about 1.2e-15.  Each block keeps its own transform and
-    residual (one matrix-vector product each): one product over the whole
-    table rounds differently.
+    The check does not see the terms FAR_NODES + 1 to FAR_NODES +
+    FAR_TERMS (33 to 56), nor those 2 FAR_NODES, 3 FAR_NODES, ... above
+    them: they fold onto b_1 to b_FAR_TERMS and leave no residual.  Their
+    bound rests on the geometric decay of a_k rho^-k instead: G - w is
+    bounded, by M say, on any circle |w - c| = R' > R, so Cauchy's
+    estimate gives |a_k rho^-k| <= M (R' / rho)^k, about M FAR_RADIUS^-k,
+    which is 1.8e-16 M at k = 33.  On the seed-0 sin(3 t) trace of 8,001
+    points the largest node residual is about 1.0e-15.  Each block keeps
+    its own transform and residual (one matrix-vector product each): one
+    product over the whole table rounds differently.
     """
     c, rho = discs
     unit, dft, synthesis = _far_field_basis()
@@ -478,7 +515,10 @@ def _far_field_series(fit, w: np.ndarray, far=None) -> np.ndarray:
         v = rho / (x - c)
         acc = np.full(x.shape, b[-1], dtype=complex)
         for bk in b[-2::-1]:
-            acc *= v
+            # not acc *= v: numpy rounds an in-place complex product on a
+            # one-element array differently from the same product in a
+            # longer one
+            acc = acc * v
             acc += bk
         w[far] = x + acc * v
     return np.flatnonzero(~far)
@@ -534,10 +574,10 @@ def trace_from_driving(
     series differs from its exact steps by at most ``FAR_TOL`` (1e-14)
     times |c| + rho, checked on the circle |w - c| = rho where the error
     is largest; a block that misses it walks exactly.  On the seed-0
-    sin(3t) grid of 8,001 points the sweep takes 251 runs of 2.88M exact
+    sin(3t) grid of 8,001 points the sweep takes 251 runs of 2.75M exact
     point-steps (circle nodes included) and 0.92M series evaluations
     instead of 32.0M exact point-steps, and the tips differ from the
-    all-exact sweep by at most 6.1e-14.  A grid of at most ``FAR_BLOCK``
+    all-exact sweep by at most 6.2e-14.  A grid of at most ``FAR_BLOCK``
     steps walks only exact steps, with the floats of the all-exact sweep.
     """
     times = [float(u) for u in grid]
@@ -614,7 +654,7 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
     On the far region a block's series differs from its exact steps by at
     most ``FAR_TOL`` (1e-14) times |c| + rho, and a block that misses it
     walks exactly.  On the seed-0 sin(3t) trace of 8,001 points the sweep
-    takes 4.68M exact point-steps (circle nodes included) and 0.86M series
+    takes 4.55M exact point-steps (circle nodes included) and 0.86M series
     evaluations instead of 32.0M exact point-steps, and lambda differs
     from the all-exact sweep by at most 1.2e-12.  A polyline of at most
     ``FAR_BLOCK`` + 1 points after the root walks only exact steps, with
@@ -630,7 +670,11 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
     when a check after each step would, up to round-off.  The message
     names the steps since the last check ("steps 33-40" for a tip, "steps
     33-64" after a block), and after a block the point with the lowest
-    Im w, which need not be the first to drop.  Two equal consecutive
+    Im w, which need not be the first to drop.  A tip whose capacity is
+    lost in the elapsed time (below half an ulp of it, so that two knots
+    would share one time) has come as close to the hull as float
+    resolution can tell, and raises :class:`SelfIntersection` naming the
+    tip and the steps before it ("steps 1-39").  Two equal consecutive
     points (a trace sampled finer than float resolution), which no curve
     step separates, raise :class:`InvalidMap`.
     """
@@ -657,15 +701,16 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
             f"float resolution, so no curve step lies between them"
         )
 
-    def left(k: int, first: int, last: int) -> SelfIntersection:
+    def left(k: int, first: int, last: int, how: str = "left the half-plane") -> SelfIntersection:
         steps = f"step {last}" if first == last else f"steps {first}-{last}"
         return SelfIntersection(
-            f"point {k + 1} left the half-plane while unzipping {steps}; "
+            f"point {k + 1} {how} while unzipping {steps}; "
             f"the curve is not simple at this resolution"
         )
 
     lams: List[float] = []
     caps: List[float] = []
+    times = [0.0]
     work = pts[1:].copy()
     n = work.size
     # blocks [k0, k1) of points: each tip of the block is read after the
@@ -677,8 +722,13 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
             z = complex(work[k])
             if z.imag < COLLISION_TOL:
                 raise left(k, k0 + 1, k)
+            cap = 0.5 * z.imag * z.imag
+            if times[-1] + cap == times[-1]:
+                raise left(k, 1, k, f"sank to a capacity of {cap:.3g}, below the resolution "
+                           f"of the elapsed time {times[-1]:.6g},")
             lams.append(z.real)
-            caps.append(0.5 * z.imag * z.imag)
+            caps.append(cap)
+            times.append(times[-1] + cap)
             if k + 1 < k1:
                 work[k + 1 : k1] = grow_many(work[k + 1 : k1], lams[-1], caps[-1])
         if k1 < n:
@@ -688,7 +738,6 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
 
     if not lams:
         return DrivingFunction(((0.0, float(pts[0].real)),), "const", 0.0)
-    times = list(itertools.accumulate(caps, initial=0.0))
     return DrivingFunction(tuple(zip(times, lams)), "const", times[-1])
 
 

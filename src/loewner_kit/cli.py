@@ -53,10 +53,6 @@ from .maps import map_from_spec
 SCHEMA_VERSION = "1"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_atomic(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".loewner-kit-")
@@ -71,9 +67,10 @@ def _write_atomic(path: str, data: str) -> None:
 
 
 def _write_csv(path: str, header: str, rows: Sequence[Sequence[float]]) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    """One row of floats, to 17 significant digits, per line under ``header``,
+    all formatted in one ``%`` call."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    _write_atomic(path, header + "\n" + line * len(rows) % tuple(x for row in rows for x in row))
 
 
 def _null_non_finite(obj):
@@ -246,7 +243,7 @@ def _cmd_evolve(args) -> int:
     s, t = _finite(args.time_from, "--from"), _finite(args.time_to, "--to")
     driving = parse_driving_csv(args.driving, args.interp, args.horizon, args.nsub)
     out = evolve_points(driving, s, t, _parse_points_csv(args.points))
-    _write_csv(args.out, "re,im", [(w.real, w.imag) for w in out])
+    _write_csv(args.out, "re,im", list(zip(out.real.tolist(), out.imag.tolist())))
     return 0
 
 

@@ -180,6 +180,29 @@ def test_a_tip_that_left_names_the_steps_since_the_last_check():
         extract_driving([0j, 1j, 0.5j])
 
 
+def test_a_tip_whose_capacity_is_lost_in_the_elapsed_time_is_a_self_intersection(tmp_path, capsys):
+    # a random walk of 49 steps (the polylines strategy, seed 9): point 40
+    # is unzipped to 2.98e-9 above the axis, so its capacity, 4.4e-18, is
+    # below half an ulp of the elapsed time 1.6, and two knots would share
+    # one time
+    rng = np.random.default_rng(9)
+    h = 10.0 ** rng.uniform(-3.0, 0.0)
+    x = np.cumsum(rng.uniform(-1.0, 1.0, 49)) * h
+    y = np.abs(np.cumsum(rng.uniform(-1.0, 1.0, 49)) * h) + 1e-6
+    pts = np.concatenate(([0j], x + 1j * y))
+    with pytest.raises(InvalidMap, match="knot times must be strictly increasing"):
+        extract_before_one_rule(pts)
+    with pytest.raises(SelfIntersection, match=r"point 40 sank to a capacity of 4.43e-18, below the resolution "
+                       r"of the elapsed time 1.60567, while unzipping steps 1-39; the curve is not simple"):
+        extract_driving(pts)
+    # the rest of the walk unzips
+    assert len(extract_driving(pts[:40]).knots) == 39
+    trace = tmp_path / "t.csv"
+    trace.write_text("re,im\n" + "".join(f"{p.real!r},{p.imag!r}\n" for p in pts.tolist()))
+    assert main(["extract", "--trace", str(trace), "--out", str(tmp_path / "o.csv")]) == 3
+    assert "point 40 sank to a capacity" in capsys.readouterr().err
+
+
 @st.composite
 def polylines(draw):
     """A random walk above the real axis, its points at least 1e-6 up, of
@@ -213,14 +236,28 @@ def outcome(sweep, pts):
         return type(exc)
 
 
+def outcome_before_the_rule(pts):
+    """:func:`outcome` of the sweep before the rule, with the outcome the
+    sweep now gives a tip whose capacity vanishes in the elapsed time: the
+    sweep before the rule let it through, and ``DrivingFunction`` rejected
+    the two equal knot times; the sweep names that tip with a
+    :class:`SelfIntersection`."""
+    try:
+        return knot_bytes(extract_before_one_rule(pts))
+    except SelfIntersection:
+        return SelfIntersection
+    except InvalidMap as exc:
+        return SelfIntersection if "knot times must be strictly increasing" in str(exc) else InvalidMap
+
+
 @settings(max_examples=200, deadline=None)
 @given(polylines())
 def test_the_sweep_is_the_sweep_before_the_rule(pts):
-    # a point that comes back onto the slit raises SelfIntersection; a tip
-    # whose capacity is below the round-off of the time before it gives
-    # two equal knot times, which DrivingFunction rejects (InvalidMap)
+    # a point that comes back onto the slit raises SelfIntersection, and
+    # so does a tip whose capacity is below the round-off of the time
+    # before it
     GROWN.clear()
-    want = outcome(extract_before_one_rule, pts)
+    want = outcome_before_the_rule(pts)
     # a tip within round-off of the tolerance inside a block could tell a
     # check after each step from the one when it is read
     assume(all(np.all(np.abs(w.imag - COLLISION_TOL) > 1e-6 * COLLISION_TOL) for w in GROWN))

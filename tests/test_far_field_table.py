@@ -8,9 +8,13 @@ A series depends only on its block's steps, so the table must give each
 block the floats of its one-block fit, and each sweep the floats of a
 sweep that fits one block at a time.  The oracle for those floats is
 ``one_block_far_field`` below, the far field as it was before the table,
-copied here verbatim with the sweeps' loops of that time.
+copied here with the sweeps' loops of that time.  ``evolve_points`` has a
+second level, groups of ``FAR_GROUP`` blocks fitted as one block of 256
+steps; its oracle, ``evolve_two_levels``, applies ``one_block_far_field``
+to each group and, for the group's near points, to each of its blocks.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -20,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewner_kit import DrivingFunction, chordal, evolve_points, extract_driving, trace_from_driving
-from loewner_kit.chordal import COLLISION_TOL, FAR_BLOCK, erase_many, solve_phi
+from loewner_kit.chordal import COLLISION_TOL, FAR_BLOCK, FAR_GROUP, erase_many, solve_phi
 from loewner_kit.maps import slit_walk
 
+from test_evolve_points import far_field_bound
 from test_far_field import trace_oracle
 
 
@@ -41,17 +46,26 @@ def no_points(rows):
     return np.empty((rows, 0), dtype=complex)
 
 
-def one_block_far_field(grow, lams, caps, w):
+def disc(grow, lams, caps):
+    """The center and the radius of one block's circle, as the far field
+    drew them before the table."""
+    lo, hi = min(lams), max(lams)
+    total = math.fsum(caps)
+    reach = 2.0 * math.sqrt(total) if grow else math.sqrt(2.0 * total)
+    return 0.5 * (lo + hi), chordal.FAR_RADIUS * (0.5 * (hi - lo) + reach)
+
+
+def one_block_far_field(grow, lams, caps, w, walk_near=None):
     """The far field of one block as it was before the table: the block's
-    nodes walk with its near points, the far points take the series."""
+    nodes walk with its near points, the far points take the series.
+    ``walk_near``, when given, moves the near points instead of the
+    block's exact steps (the blocks of a group in ``evolve_two_levels``).
+    The Horner product is written out of place, as ``_far_field_series``
+    writes it: numpy rounds ``acc *= v`` on a one-element array differently."""
     sign = 2.0 if grow else -2.0
     run_lams = [lam for lam, cap in zip(lams, caps) if cap != 0.0]
     run_cs = [sign * cap for cap in caps if cap != 0.0]
-    lo, hi = min(lams), max(lams)
-    c = 0.5 * (lo + hi)
-    total = math.fsum(caps)
-    reach = 2.0 * math.sqrt(total) if grow else math.sqrt(2.0 * total)
-    rho = chordal.FAR_RADIUS * (0.5 * (hi - lo) + reach)
+    c, rho = disc(grow, lams, caps)
     far = np.abs(w - c) > rho
     if far.any():
         unit, dft, synthesis = chordal._far_field_basis()
@@ -65,13 +79,13 @@ def one_block_far_field(grow, lams, caps, w):
             v = rho / (x - c)
             acc = np.full(x.shape, b[-1], dtype=complex)
             for bk in b[-2::-1]:
-                acc *= v
+                acc = acc * v
                 acc += bk
             out = np.empty_like(w)
-            out[near] = z[: near.size]
+            out[near] = z[: near.size] if walk_near is None else walk_near(w[near])
             out[far] = x + acc * v
             return out
-    return slit_walk(w, None, run_lams, run_cs, None)[0]
+    return slit_walk(w, None, run_lams, run_cs, None)[0] if walk_near is None else walk_near(w)
 
 
 def fit(grow, lams, caps, w):
@@ -89,14 +103,14 @@ def same_fit(a, b):
 
 
 @st.composite
-def tables(draw, rows=st.integers(1, 9), n=st.integers(0, 5)):
+def tables(draw, rows=st.integers(1, 9), n=st.integers(0, 5), steps=st.integers(1, FAR_BLOCK)):
     """A (rows, steps) table of blocks whose rows differ in center and in
     spread, and (rows, n) points around the blocks at distances from 1e-3
     to 1e2.  Some steps have the smallest cap an extraction step can
     have, COLLISION_TOL^2 / 2; no sweep takes a zero cap."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = draw(rows)
-    steps = draw(st.integers(1, FAR_BLOCK))
+    steps = draw(steps)
     centers = rng.uniform(-3.0, 3.0, (rows, 1))
     spreads = 10.0 ** rng.uniform(-4.0, 0.5, (rows, 1))
     lams = centers + spreads * rng.uniform(-1.0, 1.0, (rows, steps))
@@ -152,6 +166,38 @@ def test_the_one_block_form_gives_the_bits_of_the_old_far_field(table, grow, exa
         assert got.tobytes() == one_block_far_field(grow, lams.tolist(), caps.tolist(), w).tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(tables(rows=st.integers(1, 4), n=st.integers(0, 40), steps=st.just(FAR_GROUP * FAR_BLOCK)), st.booleans())
+def test_a_group_fitted_in_a_table_gives_the_bits_of_a_one_block_fit(table, grow):
+    # evolve_points fits its groups of FAR_GROUP blocks, 256 steps each,
+    # as one table: each group gets the floats of its one-block fit, and
+    # applied alone it is the far field of before the table
+    lams, caps, w = table
+    check_table_against_rows(grow, lams, caps, w)
+    for row_lams, row_caps, row_w in zip(lams.tolist(), caps.tolist(), w):
+        got = chordal._far_field_walk(grow, row_lams, row_caps, row_w)
+        assert got.tobytes() == one_block_far_field(grow, row_lams, row_caps, row_w).tobytes()
+
+
+def test_the_series_of_a_point_alone_is_its_series_in_an_array():
+    # points on rings just outside the circles of sin(3t) blocks: each
+    # takes the series alone with the floats it gets inside one array.
+    # numpy rounds an in-place complex product (acc *= v) on a
+    # one-element array differently from the same product in a longer one
+    d, rng = sin3t(), np.random.default_rng(7)
+    # eight blocks spread over [0, 1]
+    rows = np.array([d._steps[j : j + FAR_BLOCK] for j in range(1, 12800, 50 * FAR_BLOCK)])
+    lams, caps = rows[:, :, 2], rows[:, :, 1] - rows[:, :, 0]
+    for c, rho, b, ok in fit(False, lams, caps, no_points(len(lams)))[0]:
+        assert ok
+        w = c + rho * (1.0 + 10.0 ** rng.uniform(-6.0, -1.0, 1000)) * np.exp(1j * rng.uniform(0.0, np.pi, 1000))
+        whole, alone = w.copy(), w.copy()
+        assert chordal._far_field_series((c, rho, b, ok), whole).size == 0
+        for i in range(w.size):
+            chordal._far_field_series((c, rho, b, ok), alone[i : i + 1])
+        assert alone.tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("grow", [False, True])
 def test_every_block_fails_at_a_zero_tolerance(monkeypatch, grow):
     rng = np.random.default_rng(5)
@@ -193,8 +239,12 @@ def test_the_table_sweeps_walk_a_failed_block_exactly(monkeypatch, failure):
     assert sweeps() == tuple(b.tobytes() for b in exact)
 
 
-def evolve_one_block_at_a_time(driving, s, t, points):
-    """``evolve_points`` with each block through ``one_block_far_field``."""
+def evolve_two_levels(driving, s, t, points):
+    """``evolve_points`` with each group of ``FAR_GROUP`` blocks and each
+    block through ``one_block_far_field``.  A group's near points walk its
+    blocks, and a group whose error term |c| + rho exceeds the sum of its
+    blocks' walks every point through its blocks; the blocks after the
+    last group take the points one block at a time."""
     z = np.array(points, dtype=complex)
     first, last = driving._rows(s, t)
     blocks = (last - first - 1) // FAR_BLOCK
@@ -206,8 +256,23 @@ def evolve_one_block_at_a_time(driving, s, t, points):
     k0 = first + 1 + blocks * FAR_BLOCK
     rows = steps[first + 1 : k0]
     lams, caps = rows[:, 2].tolist(), (rows[:, 1] - rows[:, 0]).tolist()
-    for j in range(0, len(lams), FAR_BLOCK):
-        x = one_block_far_field(False, lams[j : j + FAR_BLOCK], caps[j : j + FAR_BLOCK], x)
+
+    def through_blocks(j0, j1, y):
+        for j in range(j0, j1, FAR_BLOCK):
+            y = one_block_far_field(False, lams[j : j + FAR_BLOCK], caps[j : j + FAR_BLOCK], y)
+        return y
+
+    group = FAR_GROUP * FAR_BLOCK
+    span = len(lams) // group * group
+    for j in range(0, span, group):
+        c, rho = disc(False, lams[j : j + group], caps[j : j + group])
+        terms = [disc(False, lams[i : i + FAR_BLOCK], caps[i : i + FAR_BLOCK]) for i in range(j, j + group, FAR_BLOCK)]
+        blocks_of_group = functools.partial(through_blocks, j, j + group)
+        if abs(c) + rho <= sum(abs(ci) + ri for ci, ri in terms):
+            x = one_block_far_field(False, lams[j : j + group], caps[j : j + group], x, blocks_of_group)
+        else:
+            x = blocks_of_group(x)
+    x = through_blocks(span, len(lams), x)
     z[rest] = chordal.evolve_slices(driving, np.full(x.size, steps[k0, 0]), np.full(x.size, t), x)
     return z
 
@@ -240,9 +305,25 @@ def trace_one_block_at_a_time(driving, grid):
     return np.concatenate((np.array(tips, dtype=complex), vals))
 
 
-@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.137, 0.91), (0.5, 0.51)])
+# windows of sin3t(): (groups, blocks after the last group) in each
+WINDOWS = {
+    (0.0, 1.0): (49, 7),
+    (0.137, 0.91): (38, 5),
+    (0.2, 0.521): (16, 0),
+    (0.3, 0.33): (1, 3),
+    (0.3, 0.322): (1, 0),
+    (0.5, 0.51): (0, 3),
+}
+
+
+@pytest.mark.parametrize("s, t", sorted(WINDOWS))
 def test_evolve_points_is_the_one_block_sweep(s, t):
+    # many groups, one group and none, with and without blocks after the
+    # last group; every group passes the guard on sin(3t)
     d = sin3t()
+    first, last = d._rows(s, t)
+    blocks = (last - first - 1) // FAR_BLOCK
+    assert (blocks // FAR_GROUP, blocks % FAR_GROUP) == WINDOWS[s, t]
     rng = np.random.default_rng(13)
     z = np.concatenate((
         grid(20),
@@ -250,7 +331,7 @@ def test_evolve_points_is_the_one_block_sweep(s, t):
         [1e-9j, 0.2 + 3e-9j],  # below 2 COLLISION_TOL: the whole window exactly
     ))
     got = evolve_points(d, s, t, z)
-    assert got.tobytes() == evolve_one_block_at_a_time(d, s, t, z).tobytes()
+    assert got.tobytes() == evolve_two_levels(d, s, t, z).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 34, 35, 67, 100, 2001])
@@ -271,12 +352,50 @@ def test_extract_is_the_old_one_block_sweep(monkeypatch, n):
     assert got.horizon == want.horizon
 
 
+def test_a_group_worse_than_its_blocks_is_not_used(monkeypatch):
+    # const driving, one row per knot of width 1/256: 0 up to row 224,
+    # then 50.  Rows 1-256 are the one group and rows 225-256 its last
+    # block, so the group's circle has center 25 and radius 3 (25 +
+    # sqrt(2)), where each block's is centered at 0 or 50 with radius 1.5:
+    # the group's error term |c| + rho, 104, exceeds its blocks' sum, 62
+    m = 300
+    d = DrivingFunction(tuple((k / 256, 0.0 if k < 225 else 50.0) for k in range(m + 1)), "const", m / 256)
+    first, last = d._rows(0.0, d.horizon)
+    assert (first, last) == (0, m - 1)
+    rows = d._steps[1 : 1 + FAR_GROUP * FAR_BLOCK]
+    glams, gcaps = rows[None, :, 2], rows[None, :, 1] - rows[None, :, 0]
+    (c,), (rho,) = chordal._far_field_discs(False, glams, gcaps)
+    bc, brho = chordal._far_field_discs(False, glams.reshape(FAR_GROUP, -1), gcaps.reshape(FAR_GROUP, -1))
+    assert abs(c) + rho > np.sum(np.abs(bc) + brho)
+    # points beyond the group's circle, and near and far from its blocks'
+    z = np.array([25.0 + 90.0j, -80.0 + 10.0j, 140.0 + 1.0j, 0.5 + 0.5j, 50.0 + 1.0j, 3.0 + 2.0j])
+    assert np.all(np.abs(z[:3] - c) > rho)
+    moved, series = [], chordal._far_field_series
+
+    def recording(fit, w, far=None):
+        near = series(fit, w, far)
+        moved.append((fit[1], w.size - near.size))
+        return near
+
+    monkeypatch.setattr(chordal, "_far_field_series", recording)
+    got = evolve_points(d, 0.0, d.horizon, z)
+    # the group's series moved no point, though its fit is good
+    [(_, _, _, ok)], _ = fit(False, glams, gcaps, no_points(1))
+    assert ok and [n for r, n in moved if r == rho] == [0]
+    assert got.tobytes() == evolve_two_levels(d, 0.0, d.horizon, z).tobytes()
+    want = solve_phi(d, 0.0, d.horizon, z)
+    assert np.all(np.abs(got - want) <= far_field_bound(d, 0.0, d.horizon, z, want))
+
+
 def test_evolve_points_walks_the_table_once(monkeypatch):
     # 201 linear knots of sin(3t), n_sub 64, over [0, 1]: 12,800 rows,
-    # 399 blocks.  Fitted one block at a time, the call made 403 runs:
-    # one per block, and the exact rows of evolve_slices
-    runs, near_blocks, inside = [], [], []
-    walk, slices, series = chordal.slit_walk, chordal.evolve_slices, chordal._far_field_series
+    # 399 blocks, 49 groups of FAR_GROUP blocks and 7 blocks after them.
+    # One block at a time, the call made 403 runs, and each of the 2,500
+    # points took the series of nearly every block
+    runs, fitted, calls, inside, is_group = [], [], [], [], {}
+    walk, slices = chordal.slit_walk, chordal.evolve_slices
+    fit_table, series = chordal._far_field_fit, chordal._far_field_series
+    group = FAR_GROUP * FAR_BLOCK
 
     def counting(z, d, lams, cs, each):
         runs.append(bool(inside))
@@ -289,18 +408,38 @@ def test_evolve_points_walks_the_table_once(monkeypatch):
         finally:
             inside.pop()
 
+    def fitting(grow, lams, caps, discs, w):
+        fits, walked = fit_table(grow, lams, caps, discs, w)
+        fitted.append(lams.shape)
+        is_group.update((id(b), lams.shape[1] == group) for _, _, b, _ in fits)
+        return fits, walked
+
     def recording(fit, w, far=None):
         near = series(fit, w, far)
-        near_blocks.append(near.size > 0)
+        calls.append((is_group[id(fit[2])], w.size, near.size))
         return near
 
     monkeypatch.setattr(chordal, "slit_walk", counting)
     monkeypatch.setattr(chordal, "evolve_slices", exact_rows)
+    monkeypatch.setattr(chordal, "_far_field_fit", fitting)
     monkeypatch.setattr(chordal, "_far_field_series", recording)
-    evolve_points(sin3t(), 0.0, 1.0, grid())
-    blocks = len(near_blocks)
-    assert blocks == 399
-    fit_runs = -(-blocks // chordal.FAR_SLICE)
-    assert len(runs) <= fit_runs + sum(near_blocks) + sum(runs)
-    # the grid's lowest row, at Im 0.05, is near a third of the blocks
-    assert sum(near_blocks) < blocks / 2 and len(runs) < 403 / 2
+    z = grid()
+    evolve_points(sin3t(), 0.0, 1.0, z)
+    groups, blocks = 49, 399
+    # the blocks, then the groups, each table fitted once
+    assert fitted == [(blocks, FAR_BLOCK), (groups, group)]
+    fit_runs = -(-groups // chordal.FAR_SLICE) + -(-blocks // chordal.FAR_SLICE)
+    group_calls = [(n, near) for grouped, n, near in calls if grouped]
+    block_calls = [(n, near) for grouped, n, near in calls if not grouped]
+    assert len(group_calls) == groups and len(block_calls) == blocks
+    # each group checks every point and its near points check its blocks;
+    # the grid's lowest row, at Im 0.05, is near every group.  The blocks
+    # after the last group check every point
+    assert all(n == z.size for n, _ in group_calls)
+    after = blocks - groups * FAR_GROUP
+    assert [n for n, _ in block_calls] == [near for _, near in group_calls for _ in range(FAR_GROUP)] + [z.size] * after
+    # besides the fits and the exact rows, one run per block with near points
+    assert len(runs) - sum(runs) == fit_runs + sum(near > 0 for _, near in block_calls)
+    assert sum(near > 0 for _, near in block_calls) < blocks / 2 and len(runs) < 403 / 2
+    # far fewer series than one per block per point
+    assert sum(n - near for _, n, near in calls) < z.size * blocks / 5

@@ -11,7 +11,8 @@ and the far field's block walker, ``chordal._block_run``, which walks a
 table of blocks' circle nodes, or a block's near points, in one run.  The
 far field has one fitting routine, ``chordal._far_field_fit``, and one
 series evaluator, ``chordal._far_field_series``, called by the sweeps
-that fit a table of blocks and by the one-block form
+that fit a table of blocks (in ``evolve_points``, once for its groups of
+blocks and once for its blocks) and by the one-block form
 ``chordal._far_field_walk``.  The one-step helpers ``erase_many`` and
 ``grow_many`` have a fixed set of callers too: the extraction sweep, for
 the tips it reads one step at a time inside a block.
@@ -124,9 +125,11 @@ def stray_walk_calls(package=PACKAGE):
 # the block's run)
 STEP_CALLERS = {"extract_driving"}
 # the sweeps that fit a table of blocks, and the one-block form, which the
-# extraction sweep calls
-TABLE_SWEEPS = ["evolve_points", "trace_from_driving"]
-FAR_FIELD_CALLERS = sorted([ONE_BLOCK, *TABLE_SWEEPS])
+# extraction sweep calls; evolve_points fits two tables, its blocks and
+# its groups of blocks, and takes a group's near points through its
+# blocks' series
+FIT_CALLERS = sorted([ONE_BLOCK, "evolve_points", "evolve_points", "trace_from_driving"])
+SERIES_CALLERS = sorted([ONE_BLOCK, "evolve_points", "evolve_points.through_blocks", "trace_from_driving"])
 
 
 def stray_step_calls(package=PACKAGE):
@@ -227,8 +230,8 @@ def test_one_far_field_for_both_sweeps():
     # a second block walker, such as a far field of its own in one sweep,
     # is a second copy of the radius, the series and its check
     assert stray_step_calls() == []
-    assert far_field_callers(FIT) == FAR_FIELD_CALLERS
-    assert far_field_callers(SERIES) == FAR_FIELD_CALLERS
+    assert far_field_callers(FIT) == FIT_CALLERS
+    assert far_field_callers(SERIES) == SERIES_CALLERS
     assert far_field_callers(ONE_BLOCK) == ["extract_driving"]
 
 

@@ -36,6 +36,7 @@ from .maps import (
     sqrt_upper,
 )
 from .measures import DensityPiece, MeasureSpec
+from .reports import Report, strict_json
 from .classes import (
     ClassReport,
     MeasureMap,

@@ -42,6 +42,7 @@ from .regularity import (
     ac_proxy,
     continuity_proxy,
 )
+from .reports import Report
 
 __all__ = [
     "DomainFamily",
@@ -354,7 +355,7 @@ def check_admissible(profile: RadiusProfile, d: float) -> AdmissibilityVerdict:
 
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Report):
     """Combined verdicts; admissibility never outranks continuity."""
 
     is_inclusion_chain_proxy: bool
@@ -365,14 +366,6 @@ class ChainReport:
     def __post_init__(self):
         if self.is_l_admissible_proxy and not self.is_inclusion_chain_proxy:
             object.__setattr__(self, "is_l_admissible_proxy", False)
-
-    def to_dict(self):
-        return {
-            "is_inclusion_chain_proxy": self.is_inclusion_chain_proxy,
-            "is_l_admissible_proxy": self.is_l_admissible_proxy,
-            "order": None if math.isinf(self.order) else self.order,
-            "diagnostics": dict(self.diagnostics),
-        }
 
 
 def chain_report(profile: RadiusProfile, d: float) -> ChainReport:
@@ -455,17 +448,10 @@ def reparametrize(
 
 
 @dataclass(frozen=True)
-class AdmissibilityProbe:
+class AdmissibilityProbe(Report):
     times: Tuple[float, ...]
     derivatives: Tuple[float, ...]
     all_finite: bool
-
-    def to_dict(self):
-        return {
-            "times": list(self.times),
-            "derivatives": list(self.derivatives),
-            "all_finite": self.all_finite,
-        }
 
 
 def chordal_admissibility_probe(fam: DomainFamily) -> AdmissibilityProbe:

@@ -111,11 +111,11 @@ def evolve_points(
     most the sum of its blocks' (on sin(3t) it is at most 0.37 of it), so
     the error stays within the sum of the blocks' terms.  The series
     depend only on the driving term, so each level is fitted once per
-    call, as one table (:func:`_far_field_fit`): one node walk per
-    ``FAR_SLICE`` blocks, and one per ``FAR_SLICE`` groups.  A point's
-    floats depend on that point alone, not on the other points of the
-    array.  A window with fewer than ``FAR_BLOCK`` interior rows walks
-    exactly, with the floats of :func:`solve_phi`.
+    call, as one table (:func:`_far_field_fit`): one node walk for the
+    blocks and one for the groups.  A point's floats depend on that point
+    alone, not on the other points of the array.  A window with fewer than
+    ``FAR_BLOCK`` interior rows walks exactly, with the floats of
+    :func:`solve_phi`.
     """
     w = np.asarray(points, dtype=complex)
     z = w.ravel()
@@ -364,7 +364,6 @@ FAR_TERMS = 24  # Laurent terms kept
 FAR_RADIUS = 3.0  # far points lie beyond FAR_RADIUS block radii
 FAR_NODES = 32  # nodes on the circle, of which the upper half are walked
 FAR_TOL = 1e-14  # largest series error on the circle, per unit of |c| + rho
-FAR_SLICE = 256  # blocks whose nodes walk in one run: 64 KB per temporary
 FAR_GROUP = 8  # blocks per group in evolve_points: one series for all eight
 
 
@@ -421,9 +420,8 @@ def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, discs, w: np.
     steps.
 
     Row i of ``w`` and the nodes of block i walk its exact steps together,
-    ``FAR_SLICE`` blocks to a :func:`_block_run`, so the node walk's
-    temporaries do not grow with the table; the fitted series, 24 floats
-    a block, are kept for the call.  The table callers (``evolve_points``,
+    every block in one :func:`_block_run`; the fitted series, 24 floats a
+    block, are kept for the call.  The table callers (``evolve_points``,
     for its blocks and for its groups of 256 steps, and
     ``trace_from_driving``) pass no points and fit every block of a call
     this way, and :func:`_far_field_walk` passes a block's near points.
@@ -483,19 +481,15 @@ def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, discs, w: np.
     c, rho = discs
     unit, dft, synthesis = _far_field_basis()
     n = w.shape[1]
-    walked = np.empty_like(w)
+    nodes = c[:, None] + rho[:, None] * unit
+    z = _block_run(grow, lams, caps, np.concatenate((w, nodes), axis=1), None)
     fits = []
-    for i in range(0, c.size, FAR_SLICE):
-        part = slice(i, i + FAR_SLICE)
-        nodes = c[part, None] + rho[part, None] * unit
-        z = _block_run(grow, lams[part], caps[part], np.concatenate((w[part], nodes), axis=1), None)
-        walked[part] = z[:, :n]
-        for ci, ri, moved in zip(c[part].tolist(), rho[part].tolist(), z[:, n:] - nodes):
-            b = (dft @ moved).real
-            # a NaN residual fails this test, so its block walks exactly
-            ok = np.max(np.abs(moved - synthesis @ b)) <= FAR_TOL * (abs(ci) + ri)
-            fits.append((ci, ri, b, ok))
-    return fits, walked
+    for ci, ri, moved in zip(c.tolist(), rho.tolist(), z[:, n:] - nodes):
+        b = (dft @ moved).real
+        # a NaN residual fails this test, so its block walks exactly
+        ok = np.max(np.abs(moved - synthesis @ b)) <= FAR_TOL * (abs(ci) + ri)
+        fits.append((ci, ri, b, ok))
+    return fits, z[:, :n]
 
 
 def _far_field_series(fit, w: np.ndarray, far=None) -> np.ndarray:

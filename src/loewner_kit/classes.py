@@ -36,6 +36,7 @@ from .maps import (
     Affine,
 )
 from .measures import MeasureSpec
+from .reports import Report
 
 __all__ = [
     "MeasureMap",
@@ -444,7 +445,7 @@ def caratheodory_growth_check(
 
 
 @dataclass(frozen=True)
-class ClassReport:
+class ClassReport(Report):
     """Summary emitted by :func:`classify` (and the `classify` CLI verb)."""
 
     angular_derivative_infinity: Optional[float]
@@ -461,18 +462,6 @@ class ClassReport:
             )
         if self.ell is not None and self.ell < 0:
             raise InvalidMap("capacity functional must be nonnegative")
-
-    def to_dict(self) -> dict:
-        def pair(z):
-            return None if z is None else [z.real, z.imag]
-
-        return {
-            "angular_derivative_infinity": self.angular_derivative_infinity,
-            "ell": self.ell,
-            "memberships": dict(self.memberships),
-            "tail": None if self.tail is None else [pair(t) for t in self.tail],
-            "diagnostics": dict(self.diagnostics),
-        }
 
 
 def classify(m: MapEvaluator) -> ClassReport:

@@ -49,6 +49,7 @@ from .families import (
     verify_ef_axioms,
 )
 from .maps import map_from_spec
+from .reports import strict_json
 
 SCHEMA_VERSION = "1"
 
@@ -73,19 +74,11 @@ def _write_csv(path: str, header: str, rows: Sequence[Sequence[float]]) -> None:
     _write_atomic(path, header + "\n" + line * len(rows) % tuple(x for row in rows for x in row))
 
 
-def _null_non_finite(obj):
-    """``obj`` with every non-finite float, at any depth, turned into None."""
-    if isinstance(obj, dict):
-        return {k: _null_non_finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_null_non_finite(v) for v in obj]
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
-
-
 def _write_report(path: Optional[str], payload: dict, config: dict) -> None:
-    """Write ``payload`` as strict JSON: a non-finite value becomes null."""
-    payload = _null_non_finite({**payload, "schema_version": SCHEMA_VERSION, "config": config})
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Write ``payload`` as strict JSON (:func:`~loewner_kit.reports.strict_json`):
+    a non-finite value becomes null."""
+    payload = {**payload, "schema_version": SCHEMA_VERSION, "config": config}
+    text = json.dumps(strict_json(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -174,7 +167,7 @@ def _finite(value, flag: str) -> float:
     """``value`` as a finite float, or a :class:`ParseError` naming ``flag``."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x):
         raise ParseError(f"{flag} needs a finite number, got {value!r}")
@@ -262,13 +255,21 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    with open(args.map) as fh:
+def _load_json(path: str):
+    with open(path) as fh:
         try:
-            spec = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.map}: invalid JSON ({exc})")
-    report = classify(map_from_spec(spec))
+            raise ParseError(f"{path}: invalid JSON ({exc})")
+
+
+def _cmd_classify(args) -> int:
+    spec = _load_json(args.map)
+    try:
+        m = map_from_spec(spec)
+    except ParseError as exc:
+        raise ParseError(f"{args.map}: {exc}")
+    report = classify(m)
     _write_report(args.out, report.to_dict(), _config_of(args))
     return 0
 
@@ -283,24 +284,33 @@ def _load_family_spec(args) -> None:
     "interp": "const"|"linear", "horizon": float, "schedule": path}.
     Relative paths resolve against the spec file's directory.
     """
-    with open(args.family_spec) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.family_spec}: invalid JSON ({exc})")
-    base = os.path.dirname(os.path.abspath(args.family_spec))
+    path = args.family_spec
+    spec = _load_json(path)
+    if not isinstance(spec, dict):
+        raise ParseError(f"{path}: a family spec must be a JSON object, got {spec!r}")
+    base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p):
+    def resolve(key):
+        p = spec.get(key)
+        if p is not None and not isinstance(p, str):
+            raise ParseError(f"{path}: {key!r} needs a path, got {p!r}")
         return p if p is None or os.path.isabs(p) else os.path.join(base, p)
 
     family = spec.get("family")
     if family not in _BUILTIN_FAMILIES:
-        raise ParseError(f"{args.family_spec}: unknown family {family!r}")
+        raise ParseError(f"{path}: unknown family {family!r}")
     args.family = family
-    args.driving = resolve(spec.get("driving"))
-    args.schedule = resolve(spec.get("schedule"))
+    args.driving = resolve("driving")
+    args.schedule = resolve("schedule")
     args.interp = spec.get("interp", "const")
-    args.horizon = spec.get("horizon")
+    if args.interp not in ("const", "linear"):
+        raise ParseError(f"{path}: 'interp' needs 'const' or 'linear', got {args.interp!r}")
+    horizon = spec.get("horizon")
+    if horizon is not None:
+        if type(horizon) not in (int, float):
+            raise ParseError(f"{path}: 'horizon' needs a number, got {horizon!r}")
+        _finite(horizon, f"{path}: 'horizon'")
+    args.horizon = horizon
 
 
 def _cmd_family_verify(args) -> int:

@@ -37,6 +37,7 @@ from .maps import (
     _check_domain,
 )
 from .regularity import ac_proxy
+from .reports import Report
 
 __all__ = [
     "FamilyHandle",
@@ -266,21 +267,12 @@ class DerivativeSchedule:
 
 
 @dataclass(frozen=True)
-class EfReport:
+class EfReport(Report):
     ef1_residual: float
     ef2_residual: float
-    ef3_modulus: float
+    ef3_lipschitz_modulus: float
     thresholds: dict
     passed: dict
-
-    def to_dict(self):
-        return {
-            "ef1_residual": self.ef1_residual,
-            "ef2_residual": self.ef2_residual,
-            "ef3_lipschitz_modulus": self.ef3_modulus,
-            "thresholds": dict(self.thresholds),
-            "passed": dict(self.passed),
-        }
 
 
 def verify_ef_axioms(
@@ -334,12 +326,9 @@ def verify_ef_axioms(
 
 
 @dataclass(frozen=True)
-class AssociationReport:
+class AssociationReport(Report):
     max_residual: float
     pairs: Tuple[Tuple[float, float], ...]
-
-    def to_dict(self):
-        return {"max_residual": self.max_residual, "pairs": [list(p) for p in self.pairs]}
 
 
 def verify_chain_association(
@@ -389,19 +378,11 @@ def beta(fam: FamilyHandle, z, t):
 
 
 @dataclass(frozen=True)
-class BetaClassification:
+class BetaClassification(Report):
     samples: Tuple[Tuple[float, float], ...]
     limit: float
     kind: str  # "plane" or "disk"
     radius: float
-
-    def to_dict(self):
-        return {
-            "samples": [list(p) for p in self.samples],
-            "limit": self.limit,
-            "kind": self.kind,
-            "radius": None if math.isinf(self.radius) else self.radius,
-        }
 
 
 def classify_beta_limit(fam: FamilyHandle, t_max: float = 64.0) -> BetaClassification:
@@ -518,7 +499,7 @@ def conjugate_family(fam: FamilyHandle, schedule: DerivativeSchedule) -> FamilyH
 
 
 @dataclass(frozen=True)
-class GoryainovBaReport:
+class GoryainovBaReport(Report):
     v_table: Tuple[Tuple[float, float], ...]
     monotone: bool
     bound_ok: bool
@@ -528,18 +509,11 @@ class GoryainovBaReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self):
-        # strict JSON: a non-finite value is written as null, with a flag
-        margin = self.worst_bound_margin
+        # a non-finite value is written as null, so it comes with a flag
         return {
-            "v_table": [[t, v if math.isfinite(v) else None] for t, v in self.v_table],
+            **super().to_dict(),
             "v_table_finite": all(math.isfinite(v) for _, v in self.v_table),
-            "monotone": self.monotone,
-            "bound_ok": self.bound_ok,
-            "worst_bound_margin": margin if math.isfinite(margin) else None,
-            "worst_bound_margin_finite": math.isfinite(margin),
-            "ac_proxy_passed": self.ac_proxy_passed,
-            "p0_flags": list(self.p0_flags),
-            "diagnostics": dict(self.diagnostics),
+            "worst_bound_margin_finite": math.isfinite(self.worst_bound_margin),
         }
 
 

@@ -674,46 +674,57 @@ def map_to_spec(m: MapEvaluator) -> dict:
 
 
 def map_from_spec(spec: dict) -> MapEvaluator:
-    """Rebuild an evaluator from a JSON map spec (see README for the schema)."""
+    """Rebuild an evaluator from a JSON map spec (see README for the schema).
+
+    A spec that is not an object, lacks a key its kind needs or holds a
+    value of the wrong shape or type raises :class:`ParseError` naming the
+    kind and the key."""
     from .measures import MeasureSpec  # local import to avoid a cycle
     from .classes import MeasureMap, NevanlinnaMap
 
+    if not isinstance(spec, dict):
+        raise ParseError(f"a map spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
+
+    def read(key, convert, *default):
+        """``convert(spec[key])``, or the default when one is given and the
+        key is absent."""
+        if key not in spec:
+            if default:
+                return default[0]
+            raise ParseError(f"map spec kind {kind!r} needs the key {key!r}")
+        try:
+            return convert(spec[key])
+        except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+            raise ParseError(f"map spec kind {kind!r} has a bad {key!r}: {exc}")
+
     if kind == "identity":
-        return Identity(Domain(spec.get("domain", "half_plane")))
+        return Identity(read("domain", Domain, Domain.HALF_PLANE))
     if kind == "affine":
-        return Affine(
-            _c_from(spec["a"]),
-            _c_from(spec["b"]),
-            Domain(spec.get("domain", "half_plane")),
-            Domain(spec.get("codomain", spec.get("domain", "half_plane"))),
-        )
+        domain = read("domain", Domain, Domain.HALF_PLANE)
+        return Affine(read("a", _c_from), read("b", _c_from), domain, read("codomain", Domain, domain))
     if kind == "moebius":
-        sm = spec.get("self_map_of")
         return Moebius(
-            _c_from(spec["a"]),
-            _c_from(spec["b"]),
-            _c_from(spec["c"]),
-            _c_from(spec["d"]),
-            Domain(spec.get("domain", "half_plane")),
-            Domain(spec.get("codomain", "half_plane")),
-            None if sm is None else Domain(sm),
+            *(read(k, _c_from) for k in "abcd"),
+            read("domain", Domain, Domain.HALF_PLANE),
+            read("codomain", Domain, Domain.HALF_PLANE),
+            read("self_map_of", lambda v: None if v is None else Domain(v), None),
         )
     if kind == "cayley":
         return CAYLEY
     if kind == "cayley_inverse":
         return CAYLEY_INV
     if kind == "slit_step":
-        return SlitStep(spec["lam"], spec["capacity"], spec.get("direction", "erase"))
+        def floats(v):
+            return np.array(v, dtype=float)
+
+        return SlitStep(read("lam", floats), read("capacity", floats), spec.get("direction", "erase"))
     if kind == "disk_automorphism":
-        return DiskAutomorphism(_c_from(spec["a"]))
+        return DiskAutomorphism(read("a", _c_from))
     if kind == "measure_map":
-        return MeasureMap(MeasureSpec.from_spec(spec["measure"]))
+        return MeasureMap(read("measure", MeasureSpec.from_spec))
     if kind == "nevanlinna":
-        return NevanlinnaMap(
-            spec["beta"], spec["alpha"], MeasureSpec.from_spec(spec["measure"])
-        )
+        return NevanlinnaMap(read("beta", float), read("alpha", float), read("measure", MeasureSpec.from_spec))
     if kind == "compose":
-        parts = [map_from_spec(p) for p in spec["parts"]]
-        return compose(*reversed(parts))
+        return compose(*reversed(read("parts", lambda ps: [map_from_spec(p) for p in ps])))
     raise ParseError(f"unknown map spec kind: {kind!r}")

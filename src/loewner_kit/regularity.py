@@ -25,6 +25,8 @@ from typing import Callable
 
 import numpy as np
 
+from .reports import Report
+
 __all__ = [
     "ContinuityVerdict",
     "AdmissibilityVerdict",
@@ -45,39 +47,21 @@ CONTINUITY_ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ContinuityVerdict:
+class ContinuityVerdict(Report):
     passed: bool
     modulus: float
     refined_modulus: float
     decay_ratio: float
 
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "modulus": self.modulus,
-            "refined_modulus": self.refined_modulus,
-            "decay_ratio": self.decay_ratio,
-        }
-
 
 @dataclass(frozen=True)
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(Report):
     passed: bool
     order: float
     norm_ratio: float
     concentration_ratio: float
     support_ratio: float
     diagnostics: dict
-
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "order": None if math.isinf(self.order) else self.order,
-            "norm_ratio": self.norm_ratio,
-            "concentration_ratio": self.concentration_ratio,
-            "support_ratio": self.support_ratio,
-            "diagnostics": dict(self.diagnostics),
-        }
 
 
 def _sample(fn: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, n: int):

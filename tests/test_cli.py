@@ -240,6 +240,21 @@ class TestClassify:
         bad = write(tmp_path / "bad.json", "{not json")
         assert main(["classify", "--map", bad, "--out", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("spec, named", [
+        ("[]", "JSON object"),
+        ('{"kind": "moebius"}', "'a'"),
+        ('{"kind": "affine", "a": [1]}', "'a'"),
+        ('{"kind": "slit_step", "lam": "x", "capacity": 1}', "'lam'"),
+        ('{"kind": "disk_automorphism", "a": [1%s, 0]}' % ("0" * 400), "'a'"),
+    ], ids=["list", "missing-key", "short-pair", "non-numeric", "huge-number"])
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, spec, named):
+        bad = write(tmp_path / "bad.json", spec)
+        out = tmp_path / "r.json"
+        assert main(["classify", "--map", bad, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert bad in err and named in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFamilyVerify:
     def test_radial_report(self, tmp_path):
@@ -274,6 +289,22 @@ class TestFamilyVerify:
         rep = json.loads(out.read_text())
         assert rep["family"] == "chordal"
         assert rep["ef"]["passed"]["ef2"]
+
+    @pytest.mark.parametrize("spec, named", [
+        ('[{"family": "radial"}]', "JSON object"),
+        ('{"family": "radial", "horizon": "abc"}', "'horizon'"),
+        ('{"family": "radial", "horizon": [1]}', "'horizon'"),
+        ('{"family": "radial", "horizon": 1%s}' % ("0" * 400), "'horizon'"),
+        ('{"family": "chordal", "driving": 5}', "'driving'"),
+        ('{"family": "chordal", "driving": "d.csv", "interp": ["linear"]}', "'interp'"),
+    ], ids=["list", "text-horizon", "list-horizon", "huge-horizon", "numeric-path", "list-interp"])
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, spec, named):
+        bad = write(tmp_path / "family.json", spec)
+        out = tmp_path / "fam.json"
+        assert main(["family-verify", "--family-spec", bad, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert bad in err and named in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_family_exit_2(self, tmp_path):
         assert main(["family-verify", "--out", str(tmp_path / "r.json")]) == 2

@@ -148,7 +148,7 @@ class TestEfAxioms:
         assert rep.ef1_residual <= 1e-12
         assert rep.ef2_residual <= 1e-12
         # |d/dt e^{s-t} z| <= |z| < 1 on the probe grid
-        assert rep.ef3_modulus <= 1.0
+        assert rep.ef3_lipschitz_modulus <= 1.0
 
     def test_chordal_solver_family(self, rng):
         d = DrivingFunction(((0.0, 0.2), (0.6, -0.4), (1.1, 0.9)), "const", 1.6)

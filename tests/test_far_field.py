@@ -278,11 +278,11 @@ def stepwise(grow, lams, caps, w):
 
 
 def test_a_block_takes_at_most_two_walks(monkeypatch):
-    # a table's circle nodes walk in one run per FAR_SLICE blocks, and each
-    # block's near points (with a trace block's seeded tips) in one more; a
-    # single block's near points walk with its nodes, and if it misses the
-    # tolerance its far points walk in one more run: on the three sweeps
-    # of the benchmark's seed-0 sizes, and on one block
+    # a table's circle nodes walk in one run, and each block's near points
+    # (with a trace block's seeded tips) in one more; a single block's near
+    # points walk with its nodes, and if it misses the tolerance its far
+    # points walk in one more run: on the three sweeps of the benchmark's
+    # seed-0 sizes, and on one block
     walks = Walks(monkeypatch)
     d = DrivingFunction.from_function(lambda t: math.sin(3 * t), 1, n=201)
     xs, ys = np.meshgrid(np.linspace(-2.0, 2.0, 50), np.linspace(0.05, 3.05, 50))

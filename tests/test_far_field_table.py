@@ -1,8 +1,8 @@
 """The far field fitted as a table: ``evolve_points`` and
 ``trace_from_driving`` know all their blocks up front and fit every
-block's series in one node walk per ``chordal.FAR_SLICE`` blocks
-(``chordal._far_field_fit``), where ``extract_driving`` fits one block at
-a time through the same routine (``chordal._far_field_walk``).
+block's series in one node walk (``chordal._far_field_fit``), where
+``extract_driving`` fits one block at a time through the same routine
+(``chordal._far_field_walk``).
 
 A series depends only on its block's steps, so the table must give each
 block the floats of its one-block fit, and each sweep the floats of a
@@ -141,15 +141,11 @@ def check_table_against_rows(grow, lams, caps, w):
 
 
 @settings(max_examples=60, deadline=None)
-@given(tables(), st.booleans(), st.integers(1, 4))
-def test_the_table_fit_gives_the_bits_of_a_one_block_fit(table, grow, per_run):
+@given(tables(), st.booleans())
+def test_the_table_fit_gives_the_bits_of_a_one_block_fit(table, grow):
     # a lambda or c broadcast into the wrong row moves that row's
-    # center, radius or coefficients; a table cut into runs of per_run
-    # blocks (FAR_SLICE) gives the same bits
+    # center, radius or coefficients
     lams, caps, w = table
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chordal, "FAR_SLICE", per_run)
-        check_table_against_rows(grow, lams, caps, w)
     check_table_against_rows(grow, lams, caps, w)
 
 
@@ -428,7 +424,7 @@ def test_evolve_points_walks_the_table_once(monkeypatch):
     groups, blocks = 49, 399
     # the blocks, then the groups, each table fitted once
     assert fitted == [(blocks, FAR_BLOCK), (groups, group)]
-    fit_runs = -(-groups // chordal.FAR_SLICE) + -(-blocks // chordal.FAR_SLICE)
+    fit_runs = 2  # one node walk per table
     group_calls = [(n, near) for grouped, n, near in calls if grouped]
     block_calls = [(n, near) for grouped, n, near in calls if not grouped]
     assert len(group_calls) == groups and len(block_calls) == blocks

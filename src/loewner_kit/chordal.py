@@ -97,25 +97,11 @@ def evolve_points(
     that starts below Im w = 2 ``COLLISION_TOL`` walks the whole window
     exactly, with the collision check, so :class:`StepCollision` names the
     point and time that :func:`solve_phi` names; the others cannot collide.
-    The far field has two levels.  Each run of ``FAR_GROUP`` (8)
-    consecutive blocks from the first is also fitted as one block of 256
-    rows, a group: a point further than ``FAR_RADIUS`` group radii from
-    the group's center takes the group's Laurent series
-    (:func:`_far_field_series`), with an error of at most ``FAR_TOL``
-    (|c| + rho) for the group.  The other points walk the group's blocks,
-    as do all points for the blocks after the last group: a point further
-    than ``FAR_RADIUS`` block radii from a block's center takes the
-    block's series, with an error of at most ``FAR_TOL`` (|c| + rho) for
-    the block, and the others walk the block exactly, in one run per
-    block that has any.  A group is used only where its error term is at
-    most the sum of its blocks' (on sin(3t) it is at most 0.37 of it), so
-    the error stays within the sum of the blocks' terms.  The series
-    depend only on the driving term, so each level is fitted once per
-    call, as one table (:func:`_far_field_fit`): one node walk for the
-    blocks and one for the groups.  A point's floats depend on that point
-    alone, not on the other points of the array.  A window with fewer than
-    ``FAR_BLOCK`` interior rows walks exactly, with the floats of
-    :func:`solve_phi`.
+    The other points take the interior blocks through the two-level far
+    field of :func:`_far_field_sweep`, whose docstring states its error
+    and its fits.  A point's floats depend on that point alone, not on the
+    other points of the array.  A window with fewer than ``FAR_BLOCK``
+    interior rows walks exactly, with the floats of :func:`solve_phi`.
     """
     w = np.asarray(points, dtype=complex)
     z = w.ravel()
@@ -131,36 +117,10 @@ def evolve_points(
     # the whole window, with the check
     z = evolve_slices(driving, np.full(z.size, s), np.where(low, t, steps[first, 1]), z)
     rest = np.flatnonzero(~low)
-    x = z[rest]
     k0 = first + 1 + blocks * FAR_BLOCK
     rows = steps[first + 1 : k0].reshape(blocks, FAR_BLOCK, 3)
     lams, caps = rows[:, :, 2], rows[:, :, 1] - rows[:, :, 0]
-    discs = _far_field_discs(False, lams, caps)
-    fits, _ = _far_field_fit(False, lams, caps, discs, np.empty((blocks, 0), dtype=complex))
-
-    def through_blocks(i0: int, i1: int, y: np.ndarray) -> np.ndarray:
-        # y after blocks i0 to i1 - 1: each block's series, and one exact
-        # run per block for the points within its circle
-        for i in range(i0, i1):
-            near = _far_field_series(fits[i], y)
-            if near.size:
-                y[near] = _block_run(False, lams[i : i + 1], caps[i : i + 1], y[near][None], None)[0]
-        return y
-
-    span = blocks // FAR_GROUP * FAR_GROUP
-    group = FAR_GROUP * FAR_BLOCK
-    glams, gcaps = lams[:span].reshape(-1, group), caps[:span].reshape(-1, group)
-    gdiscs = _far_field_discs(False, glams, gcaps)
-    # a group whose error term exceeds the sum of its blocks' is not used
-    terms = (np.abs(discs[0]) + discs[1])[:span].reshape(-1, FAR_GROUP).sum(axis=1)
-    used = np.abs(gdiscs[0]) + gdiscs[1] <= terms
-    gfits, _ = _far_field_fit(False, glams, gcaps, gdiscs, np.empty((span // FAR_GROUP, 0), dtype=complex))
-    for g, (c, rho, b, ok) in enumerate(gfits):
-        near = _far_field_series((c, rho, b, ok and used[g]), x)
-        if near.size:
-            x[near] = through_blocks(g * FAR_GROUP, (g + 1) * FAR_GROUP, x[near])
-    if span < blocks:
-        x = through_blocks(span, blocks, x)
+    x, _ = _far_field_sweep(lams, caps, z[rest], np.empty((blocks, 0), dtype=complex))
     z[rest] = evolve_slices(driving, np.full(x.size, steps[k0, 0]), np.full(x.size, t), x)
     return z[0] if w.ndim == 0 else z.reshape(w.shape)
 
@@ -357,14 +317,14 @@ class TraceSample:
             raise InvalidMap("trace tip must be finite and lie in the closed half-plane")
 
 
-# far field of a block of slit steps (trace_from_driving, extract_driving,
-# evolve_points)
+# far field of a block of slit steps (evolve_points and trace_from_driving
+# through _far_field_sweep, extract_driving through _far_field_walk)
 FAR_BLOCK = 32  # steps per block
 FAR_TERMS = 24  # Laurent terms kept
 FAR_RADIUS = 3.0  # far points lie beyond FAR_RADIUS block radii
 FAR_NODES = 32  # nodes on the circle, of which the upper half are walked
 FAR_TOL = 1e-14  # largest series error on the circle, per unit of |c| + rho
-FAR_GROUP = 8  # blocks per group in evolve_points: one series for all eight
+FAR_GROUP = 8  # blocks per group in _far_field_sweep: one series for all eight
 
 
 @functools.cache
@@ -379,7 +339,7 @@ def _far_field_basis():
     return np.exp(1j * angles), dft, dft.conj().T * (FAR_NODES / 2.0)
 
 
-def _block_run(grow: bool, lams: np.ndarray, caps: np.ndarray, z: np.ndarray, each) -> np.ndarray:
+def _block_run(grow: bool, lams: np.ndarray, caps: np.ndarray, z: np.ndarray, tips: np.ndarray) -> np.ndarray:
     """Row i of the (rows, n) array ``z`` after the block of slit steps
     (``lams[i]``, ``caps[i]``) of a (rows, steps) table, first step to
     last: grow steps when ``grow`` (extraction), else erase steps (traces,
@@ -388,15 +348,24 @@ def _block_run(grow: bool, lams: np.ndarray, caps: np.ndarray, z: np.ndarray, ea
     extraction tip lies at least ``COLLISION_TOL`` above the real axis.
 
     A one-row table walks its row as a 1-d array with float steps, in one
-    :func:`~loewner_kit.maps.slit_walk` run that calls ``each(j, z, d)``
-    after its j-th step; a (1, 1) lambda would cost each numpy operation
-    about 3 us more, for the same floats.  A larger table walks step j of
-    every row at once, with its lambda and c broadcast as (rows, 1).
+    :func:`~loewner_kit.maps.slit_walk` run; a (1, 1) lambda would cost
+    each numpy operation about 3 us more, for the same floats.  The 1-d
+    array ``tips`` joins that run, ``tips[i]`` before step i, and follows
+    the row in the result: this is how a trace seeds its tips.  A larger
+    table, which takes no tips, walks step j of every row at once, with
+    its lambda and c broadcast as (rows, 1).
     """
     sign = 2.0 if grow else -2.0
-    if len(z) == 1:
-        return slit_walk(z[0], None, lams[0].tolist(), (sign * caps[0]).tolist(), each)[0][None]
-    return slit_walk(z, None, lams.T[:, :, None], sign * caps.T[:, :, None], each)[0]
+    if len(z) != 1:
+        return slit_walk(z, None, lams.T[:, :, None], sign * caps.T[:, :, None], None)[0]
+    n = z.shape[1]
+
+    def join(i, w, _):
+        if n + i + 1 < w.size:
+            w[n + i + 1] = tips[i + 1]
+
+    w = np.concatenate((z[0], tips))
+    return slit_walk(w, None, lams[0].tolist(), (sign * caps[0]).tolist(), join if tips.size > 1 else None)[0][None]
 
 
 def _far_field_discs(grow: bool, lams: np.ndarray, caps: np.ndarray):
@@ -421,10 +390,9 @@ def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, discs, w: np.
 
     Row i of ``w`` and the nodes of block i walk its exact steps together,
     every block in one :func:`_block_run`; the fitted series, 24 floats a
-    block, are kept for the call.  The table callers (``evolve_points``,
-    for its blocks and for its groups of 256 steps, and
-    ``trace_from_driving``) pass no points and fit every block of a call
-    this way, and :func:`_far_field_walk` passes a block's near points.
+    block, are kept for the call.  :func:`_far_field_sweep` passes no
+    points and fits its blocks and its groups of 256 steps this way, as
+    two tables, and :func:`_far_field_walk` passes a block's near points.
     A series depends only on its block's steps, so a block's (c, rho, b,
     ok) are the same floats whether it is fitted in a table or alone.
 
@@ -482,7 +450,7 @@ def _far_field_fit(grow: bool, lams: np.ndarray, caps: np.ndarray, discs, w: np.
     unit, dft, synthesis = _far_field_basis()
     n = w.shape[1]
     nodes = c[:, None] + rho[:, None] * unit
-    z = _block_run(grow, lams, caps, np.concatenate((w, nodes), axis=1), None)
+    z = _block_run(grow, lams, caps, np.concatenate((w, nodes), axis=1), np.empty(0, dtype=complex))
     fits = []
     for ci, ri, moved in zip(c.tolist(), rho.tolist(), z[:, n:] - nodes):
         b = (dft @ moved).real
@@ -518,6 +486,68 @@ def _far_field_series(fit, w: np.ndarray, far=None) -> np.ndarray:
     return np.flatnonzero(~far)
 
 
+def _far_field_sweep(lams: np.ndarray, caps: np.ndarray, w: np.ndarray, tips: np.ndarray):
+    """The 1-d array ``w`` and the (blocks, k) array ``tips`` after the
+    (blocks, ``FAR_BLOCK``) table (``lams``, ``caps``) of erase steps,
+    block 0 first and each block's steps first to last, for the sweeps
+    that know all their blocks up front (``evolve_points``, with k = 0,
+    and ``trace_from_driving``, with k = ``FAR_BLOCK``).  Every point of
+    ``w`` takes every block; ``tips[b, i]`` joins before step i of block
+    b and takes the steps from there on.
+
+    The far field has two levels.  Each run of ``FAR_GROUP`` (8)
+    consecutive blocks from block 0 is also fitted as one block of 256
+    steps, a group.  A point that has joined before a group and lies
+    further than ``FAR_RADIUS`` group radii from the group's center takes
+    the group's Laurent series (:func:`_far_field_series`), with an error
+    of at most ``FAR_TOL`` (|c| + rho) for the group.  The other points
+    and the tips that join inside the group take the group's blocks, as
+    all points take the blocks after the last group: a point further than
+    ``FAR_RADIUS`` block radii from a block's center takes the block's
+    series, with an error of at most ``FAR_TOL`` (|c| + rho) for the
+    block, and the others walk the block exactly in one run
+    (:func:`_block_run`) with the tips that join the block.  A block with
+    neither takes no run.  A group is used only where its error term is at
+    most the sum of its blocks' (on sin(3t) it is at most 0.37 of it), so
+    the error stays within the sum of the blocks' terms.  Each level is
+    fitted once per call, as one table (:func:`_far_field_fit`): one node
+    walk for the blocks and one for the groups.  A point's floats depend
+    on that point alone, not on the other points of the array.
+    """
+    blocks, k = tips.shape
+    span = blocks // FAR_GROUP * FAR_GROUP
+    group = FAR_GROUP * FAR_BLOCK
+    discs = _far_field_discs(False, lams, caps)
+    fits, _ = _far_field_fit(False, lams, caps, discs, np.empty((blocks, 0), dtype=complex))
+    glams, gcaps = lams[:span].reshape(-1, group), caps[:span].reshape(-1, group)
+    gdiscs = _far_field_discs(False, glams, gcaps)
+    gfits, _ = _far_field_fit(False, glams, gcaps, gdiscs, np.empty((span // FAR_GROUP, 0), dtype=complex))
+    # a group whose error term exceeds the sum of its blocks' is not used
+    terms = (np.abs(discs[0]) + discs[1])[:span].reshape(-1, FAR_GROUP).sum(axis=1)
+    used = np.abs(gdiscs[0]) + gdiscs[1] <= terms
+    gfits = [(c, rho, b, ok and u) for (c, rho, b, ok), u in zip(gfits, used)]
+    # the points, then the tips in the order they join: before block b the
+    # first n + b k have joined
+    n = w.size
+    z = np.concatenate((w, tips.ravel()))
+    for g, b0 in enumerate(range(0, blocks, FAR_GROUP)):
+        b1, p = min(b0 + FAR_GROUP, blocks), n + b0 * k
+        # the blocks after the last group take every point
+        near = _far_field_series(gfits[g], z[:p]) if g < len(gfits) else np.arange(p)
+        # the group's near points, then the tips that join inside it
+        y = np.concatenate((z[near], z[p : n + b1 * k]))
+        if not y.size:
+            continue
+        for i in range(b0, b1):
+            q = near.size + (i - b0) * k
+            inner = _far_field_series(fits[i], y[:q])
+            if inner.size or k:
+                x = _block_run(False, lams[i : i + 1], caps[i : i + 1], y[inner][None], y[q : q + k])[0]
+                y[inner], y[q : q + k] = x[: inner.size], x[inner.size :]
+        z[near], z[p : n + b1 * k] = y[: near.size], y[near.size :]
+    return z[:n], z[n:].reshape(blocks, k)
+
+
 def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndarray) -> np.ndarray:
     """The one block of slit steps (``lams[i]``, ``caps[i]``), first to
     last, applied to the array ``w``, for a sweep that learns its steps one
@@ -536,7 +566,7 @@ def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndar
     far = np.abs(w - discs[0][0]) > discs[1][0]
     [fit], [walked] = _far_field_fit(grow, lams, caps, discs, w[~far][None])
     if not fit[3]:
-        return _block_run(grow, lams, caps, w[None], None)[0]
+        return _block_run(grow, lams, caps, w[None], np.empty(0, dtype=complex))[0]
     out = w.copy()
     out[_far_field_series(fit, out, far)] = walked
     return out
@@ -556,23 +586,24 @@ def trace_from_driving(
 
     The steps are cut into blocks of ``FAR_BLOCK`` (32) consecutive
     intervals, walked last block first, each block's steps last to first.
-    Every block but the last has later tips, and the series of all of them
-    are fitted once, as one table (:func:`_far_field_fit`).  A later tip
-    beyond ``FAR_RADIUS`` (3) block radii of a block's center takes the
-    block's ``FAR_TERMS`` (24)-term Laurent series
-    (:func:`_far_field_series`); the nearer later tips and the tips seeded
-    inside the block walk its exact steps in one run, each seeded tip
-    joining before the first step it takes.  The block radius, proven in
-    :func:`_far_field_fit`, is half the spread of the block's driving
-    values plus sqrt(2 C), C its capacity.  On the far region a block's
+    The tips seeded in the last block, which has no later tips, walk it
+    exactly.  The other blocks go through the two-level far field of
+    :func:`_far_field_sweep`, with the tips seeded in a block joining it
+    before the first step they take: a later tip beyond ``FAR_RADIUS`` (3)
+    radii of a group of ``FAR_GROUP`` (8) blocks, or of a block, takes its
+    ``FAR_TERMS`` (24)-term Laurent series (:func:`_far_field_series`),
+    and the nearer tips walk the block's exact steps.  The block radius,
+    proven in :func:`_far_field_fit`, is half the spread of the block's
+    driving values plus sqrt(2 C), C its capacity.  On the far region a
     series differs from its exact steps by at most ``FAR_TOL`` (1e-14)
     times |c| + rho, checked on the circle |w - c| = rho where the error
-    is largest; a block that misses it walks exactly.  On the seed-0
-    sin(3t) grid of 8,001 points the sweep takes 251 runs of 2.75M exact
-    point-steps (circle nodes included) and 0.92M series evaluations
-    instead of 32.0M exact point-steps, and the tips differ from the
-    all-exact sweep by at most 6.2e-14.  A grid of at most ``FAR_BLOCK``
-    steps walks only exact steps, with the floats of the all-exact sweep.
+    is largest; a block or group that misses it walks exactly.  On the
+    seed-0 sin(3t) grid of 8,001 points the sweep takes 252 runs of 2.88M
+    exact point-steps (circle nodes included) and 0.54M series
+    evaluations instead of 32.0M exact point-steps, and the tips differ
+    from the all-exact sweep by at most 6.8e-14.  A grid of at most
+    ``FAR_BLOCK`` steps walks only exact steps, with the floats of the
+    all-exact sweep.
     """
     times = [float(u) for u in grid]
     if not all(a < b for a, b in zip(times, times[1:])):
@@ -590,37 +621,22 @@ def trace_from_driving(
     bounds = np.array([0.0] + work)
     caps = np.diff(bounds)
     lams = driving.value(0.5 * (bounds[:-1] + bounds[1:]))
-    m = len(work)
-    vals = np.empty(m, dtype=complex)
     seeds = lams + 1j * np.sqrt(2.0 * caps)
-    # step j acts on the tips from j + 1 on.  Blocks [j0, j1) of steps walk
-    # last block first, each block's steps last to first; every block but
-    # the last has later tips, and their series are fitted in one table
+    # tip j is seeded before step j - 1 and takes the steps down to 0.  The
+    # full blocks [0, j0) of steps have later tips; the tips of the last
+    # block [j0, m - 1) walk it exactly, then every tip after tip 0 takes
+    # the full blocks in walk order: last block first, steps reversed
+    m = len(work)
     table = max(m - 2, 0) // FAR_BLOCK
-    rows = slice(0, table * FAR_BLOCK)
-    block_lams = lams[rows].reshape(table, FAR_BLOCK)[:, ::-1]
-    block_caps = caps[rows].reshape(table, FAR_BLOCK)[:, ::-1]
-    discs = _far_field_discs(False, block_lams, block_caps)
-    fits, _ = _far_field_fit(False, block_lams, block_caps, discs, np.empty((table, 0), dtype=complex))
-    for j0 in range((m - 2) // FAR_BLOCK * FAR_BLOCK, -1, -FAR_BLOCK):
-        j1 = min(j0 + FAR_BLOCK, m - 1)
-        later, near = vals[j1 + 1 :], np.empty(0, dtype=int)
-        if later.size:
-            near = _far_field_series(fits[j0 // FAR_BLOCK], later)
-        # the near later tips walk the block exactly, and with them the
-        # tips seeded in it: tip j1 - i joins before the block's step i
-        tips = seeds[j0 + 1 : j1 + 1][::-1]
-        n = near.size
+    j0 = table * FAR_BLOCK
+    last = _block_run(False, lams[None, j0 : m - 1][:, ::-1], caps[None, j0 : m - 1][:, ::-1],
+                      np.empty((1, 0), dtype=complex), seeds[j0 + 1 :][::-1])[0]
 
-        def seed(i, z, _):
-            if i + 1 < tips.size:
-                z[n + i + 1] = tips[i + 1]
+    def walk_order(a):
+        return a[:j0].reshape(table, FAR_BLOCK)[::-1, ::-1]
 
-        block = lams[None, j0:j1][:, ::-1], caps[None, j0:j1][:, ::-1]
-        z = _block_run(False, *block, np.concatenate((later[near], tips))[None], seed)[0]
-        later[near] = z[:n]
-        vals[j0 + 1 : j1 + 1] = z[n:][::-1]
-    vals[0] = seeds[0]
+    later, inside = _far_field_sweep(walk_order(lams), walk_order(caps), last, walk_order(seeds[1:]))
+    vals = np.concatenate((seeds[:1], inside[::-1, ::-1].ravel(), later[::-1]))
     out.extend(TraceSample(u, complex(v)) for u, v in zip(work, vals))
     return out
 

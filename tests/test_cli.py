@@ -134,7 +134,7 @@ class TestEvolve:
             assert ":3:" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_threaded_collision_index_is_global(self, tmp_path, zero_driving, capsys):
+    def test_collision_index_is_global(self, tmp_path, zero_driving, capsys):
         # only the last point reaches the driving value, at the last step,
         # and it is named by its row in the whole input
         pts = write(tmp_path / "p.csv", "re,im\n0,2\n0,3\n1,1e-20\n")
@@ -145,7 +145,7 @@ class TestEvolve:
         assert code == 3
         assert "point 2 absorbed" in capsys.readouterr().err
 
-    def test_threaded_collision_reports_the_earliest_step(self, tmp_path, capsys):
+    def test_collision_reports_the_earliest_step(self, tmp_path, capsys):
         # point 0 collides at the second step and point 1 at the first, so
         # point 1 is the one reported
         driving = write(tmp_path / "d.csv", "t,lambda\n0,0\n8,0\n")

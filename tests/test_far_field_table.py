@@ -8,10 +8,13 @@ A series depends only on its block's steps, so the table must give each
 block the floats of its one-block fit, and each sweep the floats of a
 sweep that fits one block at a time.  The oracle for those floats is
 ``one_block_far_field`` below, the far field as it was before the table,
-copied here with the sweeps' loops of that time.  ``evolve_points`` has a
-second level, groups of ``FAR_GROUP`` blocks fitted as one block of 256
-steps; its oracle, ``evolve_two_levels``, applies ``one_block_far_field``
-to each group and, for the group's near points, to each of its blocks.
+copied here with the sweeps' loops of that time.  ``evolve_points`` and
+``trace_from_driving`` have a second level, groups of ``FAR_GROUP`` blocks
+fitted as one block of 256 steps; their oracles, ``evolve_two_levels`` and
+``trace_two_levels``, apply ``one_block_far_field`` to each group and, for
+the group's near points, to each of its blocks.  The trace's one-level
+oracle, ``trace_one_block_at_a_time``, stays as the reference of the
+sweep that fits one block at a time, extraction.
 """
 
 import functools
@@ -301,6 +304,64 @@ def trace_one_block_at_a_time(driving, grid):
     return np.concatenate((np.array(tips, dtype=complex), vals))
 
 
+def trace_two_levels(driving, grid):
+    """The tips of ``trace_from_driving`` with each group of ``FAR_GROUP``
+    blocks and each block through ``one_block_far_field``, and the seeded
+    tips walked one step at a time.  The full blocks walk last block
+    first, and the groups are counted in that order, from the last full
+    block back.  A group's near later tips and the tips seeded inside it
+    take its blocks, and a group whose error term |c| + rho exceeds the
+    sum of its blocks' walks every later tip through its blocks; the
+    blocks after the last group take the later tips one block at a time."""
+    work = [float(u) for u in grid]
+    tips = []
+    if work and work[0] == 0.0:
+        tips.append(complex(driving.value(0.0), 0.0))
+        work = work[1:]
+    bounds = np.array([0.0] + work)
+    caps = np.diff(bounds)
+    lams = driving.value(0.5 * (bounds[:-1] + bounds[1:]))
+    m = len(work)
+    vals = np.empty(m, dtype=complex)
+
+    def steps(j0, j1):
+        # steps [j0, j1) in walk order, last to first
+        return lams[j0:j1].tolist()[::-1], caps[j0:j1].tolist()[::-1]
+
+    def seed(j0, j1):
+        # the tips seeded in steps [j0, j1) walk them one step at a time
+        for j in range(j1 - 1, j0 - 1, -1):
+            vals[j + 1] = lams[j + 1] + 1j * math.sqrt(2.0 * caps[j + 1])
+            vals[j + 1 : j1 + 1] = erase_many(vals[j + 1 : j1 + 1], lams[j], caps[j])
+
+    def blocks_of_group(j0, j1, y):
+        # y and the tips seeded in the group's later blocks take each block
+        for b1 in range(j1, j0, -FAR_BLOCK):
+            b0 = b1 - FAR_BLOCK
+            moved = one_block_far_field(False, *steps(b0, b1), np.concatenate((y, vals[b1 + 1 : j1 + 1])))
+            y, vals[b1 + 1 : j1 + 1] = moved[: y.size], moved[y.size :]
+            seed(b0, b1)
+        return y
+
+    table = max(m - 2, 0) // FAR_BLOCK
+    seed(table * FAR_BLOCK, m - 1)
+    group = FAR_GROUP * FAR_BLOCK
+    rest = table % FAR_GROUP * FAR_BLOCK
+    for j1 in range(table * FAR_BLOCK, rest, -group):
+        j0 = j1 - group
+        c, rho = disc(False, *steps(j0, j1))
+        terms = [disc(False, *steps(b, b + FAR_BLOCK)) for b in range(j0, j1, FAR_BLOCK)]
+        walk_near = functools.partial(blocks_of_group, j0, j1)
+        if abs(c) + rho <= sum(abs(ci) + ri for ci, ri in terms):
+            vals[j1 + 1 :] = one_block_far_field(False, *steps(j0, j1), vals[j1 + 1 :], walk_near)
+        else:
+            vals[j1 + 1 :] = walk_near(vals[j1 + 1 :])
+    vals[rest + 1 :] = blocks_of_group(0, rest, vals[rest + 1 :])
+    if m:
+        vals[0] = lams[0] + 1j * math.sqrt(2.0 * caps[0])
+    return np.concatenate((np.array(tips, dtype=complex), vals))
+
+
 # windows of sin3t(): (groups, blocks after the last group) in each
 WINDOWS = {
     (0.0, 1.0): (49, 7),
@@ -383,11 +444,10 @@ def test_a_group_worse_than_its_blocks_is_not_used(monkeypatch):
     assert np.all(np.abs(got - want) <= far_field_bound(d, 0.0, d.horizon, z, want))
 
 
-def test_evolve_points_walks_the_table_once(monkeypatch):
-    # 201 linear knots of sin(3t), n_sub 64, over [0, 1]: 12,800 rows,
-    # 399 blocks, 49 groups of FAR_GROUP blocks and 7 blocks after them.
-    # One block at a time, the call made 403 runs, and each of the 2,500
-    # points took the series of nearly every block
+def recording_far_field(monkeypatch):
+    """Lists that fill while a sweep runs: each ``slit_walk`` run (True for
+    the exact rows of ``evolve_slices``), the shape of each fitted table,
+    and each series call as (fitted as a group, points, near points)."""
     runs, fitted, calls, inside, is_group = [], [], [], [], {}
     walk, slices = chordal.slit_walk, chordal.evolve_slices
     fit_table, series = chordal._far_field_fit, chordal._far_field_series
@@ -419,6 +479,16 @@ def test_evolve_points_walks_the_table_once(monkeypatch):
     monkeypatch.setattr(chordal, "evolve_slices", exact_rows)
     monkeypatch.setattr(chordal, "_far_field_fit", fitting)
     monkeypatch.setattr(chordal, "_far_field_series", recording)
+    return runs, fitted, calls
+
+
+def test_evolve_points_walks_the_table_once(monkeypatch):
+    # 201 linear knots of sin(3t), n_sub 64, over [0, 1]: 12,800 rows,
+    # 399 blocks, 49 groups of FAR_GROUP blocks and 7 blocks after them.
+    # One block at a time, the call made 403 runs, and each of the 2,500
+    # points took the series of nearly every block
+    runs, fitted, calls = recording_far_field(monkeypatch)
+    group = FAR_GROUP * FAR_BLOCK
     z = grid()
     evolve_points(sin3t(), 0.0, 1.0, z)
     groups, blocks = 49, 399
@@ -439,3 +509,41 @@ def test_evolve_points_walks_the_table_once(monkeypatch):
     assert sum(near > 0 for _, near in block_calls) < blocks / 2 and len(runs) < 403 / 2
     # far fewer series than one per block per point
     assert sum(n - near for _, n, near in calls) < z.size * blocks / 5
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.2, 0.9)])
+def test_trace_is_the_two_level_sweep(monkeypatch, s, t):
+    # at 8,001 points some later tips lie beyond a group's circle and take
+    # its series; at 2,001 none does, so the one-block oracle still holds
+    # there (test_trace_is_the_one_block_sweep)
+    d, times = sin3t(), np.linspace(s, t, 8001)
+    _, _, calls = recording_far_field(monkeypatch)
+    got = np.array([sample.tip for sample in trace_from_driving(d, times)], dtype=complex)
+    assert sum(n - near for grouped, n, near in calls if grouped) > 0
+    assert got.tobytes() == trace_two_levels(d, times).tobytes()
+
+
+def test_trace_walks_the_table_once(monkeypatch):
+    # 8,001 points of sin(3t) on [0, 1]: 7,999 steps with later tips, 249
+    # full blocks, 31 groups of FAR_GROUP blocks and 1 block after them,
+    # and a last block of 31 steps whose tips walk it alone
+    runs, fitted, calls = recording_far_field(monkeypatch)
+    trace_from_driving(sin3t(), np.linspace(0.0, 1.0, 8001))
+    m, groups, blocks = 8000, 31, 249
+    # the blocks, then the groups, each table fitted once
+    assert fitted == [(blocks, FAR_BLOCK), (groups, FAR_GROUP * FAR_BLOCK)]
+    group_calls = [(n, near) for grouped, n, near in calls if grouped]
+    block_calls = [(n, near) for grouped, n, near in calls if not grouped]
+    assert len(group_calls) == groups and len(block_calls) == blocks
+    # group g, walked from the last full block back, sees the tips after
+    # its blocks; its near tips, and the tips seeded in its earlier
+    # walked blocks, check each block.  The block after the groups sees
+    # every tip after it
+    tips_after = [m - 1 - (blocks - FAR_GROUP * g) * FAR_BLOCK for g in range(groups)]
+    assert [n for n, _ in group_calls] == tips_after
+    assert [n for n, _ in block_calls] == [
+        near + i * FAR_BLOCK for _, near in group_calls for i in range(FAR_GROUP)
+    ] + [m - 1 - FAR_BLOCK]
+    # besides the two node walks, one run per block, the last one included:
+    # every block seeds tips
+    assert not any(runs) and len(runs) == 2 + blocks + 1

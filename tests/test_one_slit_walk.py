@@ -10,10 +10,11 @@ count.  In the same way the walk has a fixed set of callers, among them
 and the far field's block walker, ``chordal._block_run``, which walks a
 table of blocks' circle nodes, or a block's near points, in one run.  The
 far field has one fitting routine, ``chordal._far_field_fit``, and one
-series evaluator, ``chordal._far_field_series``, called by the sweeps
-that fit a table of blocks (in ``evolve_points``, once for its groups of
-blocks and once for its blocks) and by the one-block form
-``chordal._far_field_walk``.  The one-step helpers ``erase_many`` and
+series evaluator, ``chordal._far_field_series``, called by the two-level
+sweep ``chordal._far_field_sweep`` (once for its blocks and once for its
+groups of blocks), which ``evolve_points`` and ``trace_from_driving``
+call, and by the one-block form ``chordal._far_field_walk``, which
+``extract_driving`` calls.  The one-step helpers ``erase_many`` and
 ``grow_many`` have a fixed set of callers too: the extraction sweep, for
 the tips it reads one step at a time inside a block.
 """
@@ -33,7 +34,7 @@ PACKAGE = os.path.join(ROOT, "src", "loewner_kit")
 KERNEL = "slit_root"
 WALK = "slit_walk"
 BLOCK_RUN = "_block_run"
-FIT, SERIES, ONE_BLOCK = "_far_field_fit", "_far_field_series", "_far_field_walk"
+FIT, SERIES, SWEEP, ONE_BLOCK = "_far_field_fit", "_far_field_series", "_far_field_sweep", "_far_field_walk"
 
 
 class _KernelCalls(ast.NodeVisitor):
@@ -124,12 +125,11 @@ def stray_walk_calls(package=PACKAGE):
 # tips read in an extraction block (the tips seeded in a trace block join
 # the block's run)
 STEP_CALLERS = {"extract_driving"}
-# the sweeps that fit a table of blocks, and the one-block form, which the
-# extraction sweep calls; evolve_points fits two tables, its blocks and
-# its groups of blocks, and takes a group's near points through its
-# blocks' series
-FIT_CALLERS = sorted([ONE_BLOCK, "evolve_points", "evolve_points", "trace_from_driving"])
-SERIES_CALLERS = sorted([ONE_BLOCK, "evolve_points", "evolve_points.through_blocks", "trace_from_driving"])
+# the two-level sweep, which fits two tables, its blocks and its groups of
+# blocks, and takes a group's near points through its blocks' series; and
+# the one-block form, which the extraction sweep calls
+FIT_CALLERS = sorted([ONE_BLOCK, SWEEP, SWEEP])
+SERIES_CALLERS = sorted([ONE_BLOCK, SWEEP, SWEEP])
 
 
 def stray_step_calls(package=PACKAGE):
@@ -232,11 +232,12 @@ def test_one_far_field_for_both_sweeps():
     assert stray_step_calls() == []
     assert far_field_callers(FIT) == FIT_CALLERS
     assert far_field_callers(SERIES) == SERIES_CALLERS
+    assert far_field_callers(SWEEP) == ["evolve_points", "trace_from_driving"]
     assert far_field_callers(ONE_BLOCK) == ["extract_driving"]
 
 
 def test_the_evolve_verb_reaches_the_far_field(tmp_path, monkeypatch):
-    # evolve_points is on the far field's caller list only while the verb
+    # evolve_points is on the sweep's caller list only while the verb
     # calls it: 33 knots of sin(3t), 32 linear steps each, over [0, 1]
     blocks = []
     fit = chordal._far_field_fit

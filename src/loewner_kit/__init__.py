@@ -56,7 +56,6 @@ from .classes import (
 )
 from .chordal import (
     DiskField,
-    TraceSample,
     disk_field_eval,
     evolution_operator,
     evolve_points,

@@ -36,7 +36,6 @@ from .maps import Domain, Identity, MapEvaluator, SlitStep, slit_walk
 from .ode import integrate_rk45
 
 __all__ = [
-    "TraceSample",
     "DiskField",
     "erase_many",
     "grow_many",
@@ -303,18 +302,17 @@ def _piece_driving(knots, k: int, linear: bool) -> Callable[[float], float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceSample:
-    """Trace point at capacity time t; the tip lies in the closed half-plane."""
-
-    t: float
-    tip: complex
-
-    def __post_init__(self):
-        if not 0.0 <= self.t < math.inf:
-            raise InvalidMap("trace time must be finite and nonnegative")
-        if not (cmath.isfinite(self.tip) and self.tip.imag >= -1e-12):
-            raise InvalidMap("trace tip must be finite and lie in the closed half-plane")
+def _check_trace(times: np.ndarray, tips: np.ndarray) -> None:
+    """Raise :class:`InvalidMap` unless every trace time is finite and
+    nonnegative and every tip finite and in the closed half-plane (to
+    1e-12), naming the fault of the first sample at fault."""
+    late = ~((times >= 0.0) & (times < math.inf))
+    off = ~(np.isfinite(tips) & (tips.imag >= -1e-12))
+    first = np.flatnonzero(late | off)[:1]
+    if late[first].any():
+        raise InvalidMap("trace time must be finite and nonnegative")
+    if off[first].any():
+        raise InvalidMap("trace tip must be finite and lie in the closed half-plane")
 
 
 # far field of a block of slit steps (evolve_points and trace_from_driving
@@ -511,21 +509,27 @@ def _far_field_sweep(lams: np.ndarray, caps: np.ndarray, w: np.ndarray, tips: np
     most the sum of its blocks' (on sin(3t) it is at most 0.37 of it), so
     the error stays within the sum of the blocks' terms.  Each level is
     fitted once per call, as one table (:func:`_far_field_fit`): one node
-    walk for the blocks and one for the groups.  A point's floats depend
-    on that point alone, not on the other points of the array.
+    walk for the blocks, if any, and one for the groups, if a group is
+    full.  A
+    point's floats depend on that point alone, not on the other points of
+    the array.
     """
     blocks, k = tips.shape
-    span = blocks // FAR_GROUP * FAR_GROUP
-    group = FAR_GROUP * FAR_BLOCK
+    if not blocks:
+        return w, tips
     discs = _far_field_discs(False, lams, caps)
     fits, _ = _far_field_fit(False, lams, caps, discs, np.empty((blocks, 0), dtype=complex))
-    glams, gcaps = lams[:span].reshape(-1, group), caps[:span].reshape(-1, group)
-    gdiscs = _far_field_discs(False, glams, gcaps)
-    gfits, _ = _far_field_fit(False, glams, gcaps, gdiscs, np.empty((span // FAR_GROUP, 0), dtype=complex))
-    # a group whose error term exceeds the sum of its blocks' is not used
-    terms = (np.abs(discs[0]) + discs[1])[:span].reshape(-1, FAR_GROUP).sum(axis=1)
-    used = np.abs(gdiscs[0]) + gdiscs[1] <= terms
-    gfits = [(c, rho, b, ok and u) for (c, rho, b, ok), u in zip(gfits, used)]
+    gfits = []
+    # fewer than FAR_GROUP blocks fill no group, and fit no group table
+    if blocks >= FAR_GROUP:
+        span, group = blocks // FAR_GROUP * FAR_GROUP, FAR_GROUP * FAR_BLOCK
+        glams, gcaps = lams[:span].reshape(-1, group), caps[:span].reshape(-1, group)
+        gdiscs = _far_field_discs(False, glams, gcaps)
+        gfits, _ = _far_field_fit(False, glams, gcaps, gdiscs, np.empty((span // FAR_GROUP, 0), dtype=complex))
+        # a group whose error term exceeds the sum of its blocks' is not used
+        terms = (np.abs(discs[0]) + discs[1])[:span].reshape(-1, FAR_GROUP).sum(axis=1)
+        used = np.abs(gdiscs[0]) + gdiscs[1] <= terms
+        gfits = [(c, rho, b, ok and u) for (c, rho, b, ok), u in zip(gfits, used)]
     # the points, then the tips in the order they join: before block b the
     # first n + b k have joined
     n = w.size
@@ -548,11 +552,11 @@ def _far_field_sweep(lams: np.ndarray, caps: np.ndarray, w: np.ndarray, tips: np
     return z[:n], z[n:].reshape(blocks, k)
 
 
-def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndarray) -> np.ndarray:
-    """The one block of slit steps (``lams[i]``, ``caps[i]``), first to
-    last, applied to the array ``w``, for a sweep that learns its steps one
-    block at a time (``extract_driving``): grow steps when ``grow``, else
-    erase steps.
+def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndarray) -> None:
+    """Move the 1-d array ``w`` in place through the one block of slit
+    steps (``lams[i]``, ``caps[i]``), first to last, for a sweep that
+    learns its steps one block at a time (``extract_driving``): grow steps
+    when ``grow``, else erase steps.
 
     The points within the block's circle (:func:`_far_field_discs`) walk
     its exact steps in the run of its nodes (:func:`_far_field_fit`), and
@@ -565,17 +569,17 @@ def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndar
     discs = _far_field_discs(grow, lams, caps)
     far = np.abs(w - discs[0][0]) > discs[1][0]
     [fit], [walked] = _far_field_fit(grow, lams, caps, discs, w[~far][None])
-    if not fit[3]:
-        return _block_run(grow, lams, caps, w[None], np.empty(0, dtype=complex))[0]
-    out = w.copy()
-    out[_far_field_series(fit, out, far)] = walked
-    return out
+    if fit[3]:
+        w[_far_field_series(fit, w, far)] = walked
+    else:
+        w[:] = _block_run(grow, lams, caps, w[None], np.empty(0, dtype=complex))[0]
 
 
-def trace_from_driving(
-    driving: DrivingFunction, grid: Sequence[float]
-) -> List[TraceSample]:
-    """Trace of the curve generated by the driving term, sampled on ``grid``.
+def trace_from_driving(driving: DrivingFunction, grid: Sequence[float]) -> np.ndarray:
+    """Trace of the curve generated by the driving term, sampled on the
+    strictly increasing 1-d ``grid``: a 1-d complex array of one tip per
+    grid time, each finite and in the closed half-plane (checked by
+    :func:`_check_trace`).
 
     The tip at grid time t_m is the seed lambda_m + i sqrt(2 dt_m) (the tip
     of the newest elementary slit) pushed through the slit-inserting steps
@@ -605,20 +609,18 @@ def trace_from_driving(
     ``FAR_BLOCK`` steps walks only exact steps, with the floats of the
     all-exact sweep.
     """
-    times = [float(u) for u in grid]
-    if not all(a < b for a, b in zip(times, times[1:])):
-        raise InvalidMap("trace grid must be strictly increasing")
-    if times:
+    times = np.asarray(grid, dtype=float)
+    if times.ndim != 1 or not np.all(times[:-1] < times[1:]):
+        raise InvalidMap("trace grid must be a strictly increasing 1-d array")
+    if times.size:
         check_windows(times[0], times[-1], driving.horizon)
-    out: List[TraceSample] = []
-    work = [u for u in times]
-    if work and work[0] == 0.0:
-        out.append(TraceSample(0.0, complex(driving.value(0.0), 0.0)))
-        work = work[1:]
-    if not work:
-        return out
+    work = times[1:] if times.size and times[0] == 0.0 else times
+    # tip(0), when the grid starts at 0, is lambda(0) on the real axis
+    root = np.full(times.size - work.size, complex(driving.value(0.0), 0.0))
+    if not work.size:
+        return root
 
-    bounds = np.array([0.0] + work)
+    bounds = np.concatenate(([0.0], work))
     caps = np.diff(bounds)
     lams = driving.value(0.5 * (bounds[:-1] + bounds[1:]))
     seeds = lams + 1j * np.sqrt(2.0 * caps)
@@ -636,22 +638,23 @@ def trace_from_driving(
         return a[:j0].reshape(table, FAR_BLOCK)[::-1, ::-1]
 
     later, inside = _far_field_sweep(walk_order(lams), walk_order(caps), last, walk_order(seeds[1:]))
-    vals = np.concatenate((seeds[:1], inside[::-1, ::-1].ravel(), later[::-1]))
-    out.extend(TraceSample(u, complex(v)) for u, v in zip(work, vals))
-    return out
+    tips = np.concatenate((root, seeds[:1], inside[::-1, ::-1].ravel(), later[::-1]))
+    _check_trace(times, tips)
+    return tips
 
 
-def extract_driving(trace: Sequence) -> DrivingFunction:
+def extract_driving(trace: Sequence[complex]) -> DrivingFunction:
     """Recover a piecewise-constant driving term from a slit polyline.
 
     Vertical-slit unzipping: repeatedly read the current tip z_k, emit
     lambda_k = Re z_k with capacity (Im z_k)^2 / 2, and remove that
     elementary slit from every remaining point with the normalizing step
-    lambda + sqrt((w - lambda)^2 + 2 cap).  Accepts a list of
-    :class:`TraceSample` or of complex points, starting at the root on the
-    real axis (to ``COLLISION_TOL``) and lying at least ``COLLISION_TOL``
-    above it afterwards.  The round trip with :func:`trace_from_driving`
-    converges at first order in the number of points.
+    lambda + sqrt((w - lambda)^2 + 2 cap).  Takes a 1-d array-like of
+    complex points, such as the tips of :func:`trace_from_driving`,
+    starting at the root on the real axis (to ``COLLISION_TOL``) and lying
+    at least ``COLLISION_TOL`` above it afterwards.  The round trip with
+    :func:`trace_from_driving` converges at first order in the number of
+    points.
 
     The points are unzipped in blocks of ``FAR_BLOCK`` (32): each tip of
     a block is read after the block's earlier steps, and then every later
@@ -666,7 +669,7 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
     walks exactly.  On the seed-0 sin(3t) trace of 8,001 points the sweep
     takes 4.55M exact point-steps (circle nodes included) and 0.86M series
     evaluations instead of 32.0M exact point-steps, and lambda differs
-    from the all-exact sweep by at most 1.2e-12.  A polyline of at most
+    from the all-exact sweep by at most 8.5e-13.  A polyline of at most
     ``FAR_BLOCK`` + 1 points after the root walks only exact steps, with
     the floats of the all-exact sweep.
 
@@ -688,12 +691,9 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
     points (a trace sampled finer than float resolution), which no curve
     step separates, raise :class:`InvalidMap`.
     """
-    pts = np.asarray(
-        [p.tip if isinstance(p, TraceSample) else complex(p) for p in trace],
-        dtype=complex,
-    )
-    if pts.size == 0:
-        raise InvalidMap("extract_driving needs at least the root point")
+    pts = np.asarray(trace, dtype=complex)
+    if pts.ndim != 1 or pts.size == 0:
+        raise InvalidMap(f"extract_driving needs a 1-d array of at least the root point, not shape {pts.shape}")
     if not (cmath.isfinite(pts[0]) and abs(pts[0].imag) <= COLLISION_TOL):
         raise InvalidMap(f"polyline must start on the real axis, got {pts[0]}")
     low = np.flatnonzero(~(np.isfinite(pts[1:]) & (pts[1:].imag >= COLLISION_TOL)))
@@ -742,7 +742,7 @@ def extract_driving(trace: Sequence) -> DrivingFunction:
             if k + 1 < k1:
                 work[k + 1 : k1] = grow_many(work[k + 1 : k1], lams[-1], caps[-1])
         if k1 < n:
-            work[k1:] = _far_field_walk(True, lams[k0:], caps[k0:], work[k1:])
+            _far_field_walk(True, lams[k0:], caps[k0:], work[k1:])
             if np.any(work[k1:].imag < COLLISION_TOL):
                 raise left(k1 + int(np.argmin(work[k1:].imag)), k0 + 1, k1)
 

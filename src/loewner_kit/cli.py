@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .chains import (
     slit_half_plane,
     spiral_curve,
 )
-from .chordal import evolve_points, extract_driving, trace_from_driving, TraceSample
+from .chordal import _check_trace, evolve_points, extract_driving, trace_from_driving
 from .classes import classify
 from .driving import DrivingFunction
 from .errors import EmptyFile, InvalidMap, LoewnerKitError, MonotoneViolation, ParseError
@@ -151,16 +151,21 @@ def _parse_points_csv(path: str) -> np.ndarray:
     return np.array([complex(re, im) for _, (re, im) in rows])
 
 
-def _parse_trace_csv(path: str) -> List[TraceSample]:
+def _parse_trace_csv(path: str) -> np.ndarray:
+    """The tips of a trace file as a 1-d complex array; a two-column row
+    under the 're,im' header takes its line number as its time."""
     header, rows = _csv_rows(path, ("t,re,im", "re,im"), widths=(2, 3))
-    out = []
     for ln_no, vals in rows:
         if len(vals) == 2:
             if header != "re,im":
                 raise ParseError(f"{path}:{ln_no}: a two-column row needs the 're,im' header")
-            vals = [float(ln_no)] + vals
-        out.append(TraceSample(vals[0], complex(vals[1], vals[2])))
-    return out
+            vals.insert(0, float(ln_no))
+    t, re, im = np.array([vals for _, vals in rows]).T
+    # astype keeps the sign of a zero real part, where re + 1j * im would not
+    tips = re.astype(complex)
+    tips.imag = im
+    _check_trace(t, tips)
+    return tips
 
 
 def _finite(value, flag: str) -> float:
@@ -243,14 +248,13 @@ def _cmd_evolve(args) -> int:
 def _cmd_trace(args) -> int:
     driving = parse_driving_csv(args.driving, args.interp, args.horizon)
     grid = _parse_grid(args.grid)
-    samples = trace_from_driving(driving, grid)
-    _write_csv(args.out, "t,re,im", [(s.t, s.tip.real, s.tip.imag) for s in samples])
+    tips = trace_from_driving(driving, grid)
+    _write_csv(args.out, "t,re,im", list(zip(grid.tolist(), tips.real.tolist(), tips.imag.tolist())))
     return 0
 
 
 def _cmd_extract(args) -> int:
-    samples = _parse_trace_csv(args.trace)
-    driving = extract_driving(samples)
+    driving = extract_driving(_parse_trace_csv(args.trace))
     _write_csv(args.out, "t,lambda", [(t, lam) for t, lam in driving.knots])
     return 0
 

@@ -11,7 +11,6 @@ from loewner_kit import (
     DiskField,
     DrivingFunction,
     SlitStep,
-    TraceSample,
     cayley,
     cayley_inverse,
     conjugate_by_cayley,
@@ -28,7 +27,7 @@ from loewner_kit import (
     solve_phi_rk,
     trace_from_driving,
 )
-from loewner_kit.chordal import COLLISION_TOL, erase_many
+from loewner_kit.chordal import COLLISION_TOL, _check_trace, erase_many
 from loewner_kit.errors import (
     InvalidMap,
     LeftDomain,
@@ -553,25 +552,30 @@ class TestCollisions:
 class TestTrace:
     def test_vertical_slit(self):
         d = DrivingFunction.constant(0.0, 1.0)
-        tr = trace_from_driving(d, np.linspace(0.0, 0.5, 21))
-        assert abs(tr[-1].tip - 1j) < 1e-12
-        tips = np.array([s.tip for s in tr])
+        tips = trace_from_driving(d, np.linspace(0.0, 0.5, 21))
+        assert tips.shape == (21,) and tips.dtype == complex
+        assert abs(tips[-1] - 1j) < 1e-12
         assert np.max(np.abs(tips.real)) < 1e-12  # stays on the vertical line
 
     def test_translated_slit(self):
         d = DrivingFunction.constant(2.0, 2.0)
         tr = trace_from_driving(d, [2.0])
-        assert abs(tr[-1].tip - (2 + 2j)) < 1e-12
+        assert abs(tr[-1] - (2 + 2j)) < 1e-12
 
     def test_time_zero_is_root(self):
         d = DrivingFunction.constant(1.25, 1.0)
         tr = trace_from_driving(d, [0.0])
-        assert tr[0].tip == 1.25 + 0j
+        assert tr.tolist() == [1.25 + 0j]
+
+    def test_a_grid_that_is_not_1d_is_rejected(self):
+        d = DrivingFunction.constant(0.0, 1.0)
+        with pytest.raises(InvalidMap, match="strictly increasing 1-d array"):
+            trace_from_driving(d, 0.5)
 
     def test_tips_stay_in_closed_half_plane(self, rng):
         d = DrivingFunction.from_function(lambda t: 0.8 * math.sin(3 * t), 1.0, n=129)
         tr = trace_from_driving(d, np.linspace(0.0, 1.0, 201))
-        assert min(s.tip.imag for s in tr) >= 0.0
+        assert tr.imag.min() >= 0.0
 
     @pytest.mark.parametrize("t, tip", [
         (math.nan, complex(0.0, math.nan)),
@@ -582,7 +586,16 @@ class TestTrace:
     ])
     def test_non_finite_sample_rejected(self, t, tip):
         with pytest.raises(InvalidMap, match="finite"):
-            TraceSample(t, tip)
+            _check_trace(np.array([0.0, t, 1.0]), np.array([0j, tip, 1j]))
+
+    @pytest.mark.parametrize("times, tips, fault", [
+        ([0.0, -1.0, 0.5], [0j, 1j, -1j], "time"),
+        ([0.0, 0.5, -1.0], [0j, -1j, 1j], "tip"),
+    ])
+    def test_the_first_sample_at_fault_is_named(self, times, tips, fault):
+        # as a check of one sample after another would
+        with pytest.raises(InvalidMap, match=f"trace {fault} must be finite"):
+            _check_trace(np.array(times), np.array(tips))
 
 
 class TestExtract:
@@ -632,7 +645,7 @@ class TestExtract:
             lambda t: math.sqrt(max(t, 0.0)), 1.0, n=8193, mode="linear"
         )
         tr = trace_from_driving(d, np.linspace(0.0, 1.0, 2001))
-        tips = np.array([s.tip for s in tr[200:]])
+        tips = tr[200:]
         angles = np.degrees(np.angle(tips))
         assert np.max(np.abs(angles - 60.0)) < 0.01
 

@@ -206,6 +206,19 @@ class TestTraceExtractRoundTrip:
         assert "t.csv:3:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,0\n-1,0.1,0.5\n", "trace time must be finite and nonnegative"),
+        ("0,0,0\n0.5,0.1,-1\n", "trace tip must be finite and lie in the closed half-plane"),
+        # within COLLISION_TOL of the axis: extract_driving alone takes this root
+        ("0,0,-5e-10\n0.5,0.1,0.5\n", "trace tip must be finite and lie in the closed half-plane"),
+    ], ids=["negative-time", "tip-below-the-axis", "root-below-the-axis"])
+    def test_trace_off_the_closed_half_plane_exit_3(self, tmp_path, capsys, rows, message):
+        trace = write(tmp_path / "t.csv", "t,re,im\n" + rows)
+        out = tmp_path / "rec.csv"
+        assert main(["extract", "--trace", trace, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_monotone_violation_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.csv", "t,lambda\n0,0\n1,1\n0.5,0\n")
         assert main(["trace", "--driving", bad, "--grid", "0:1:10",

@@ -19,12 +19,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loewner_kit import DrivingFunction, chordal, extract_driving
-from loewner_kit.chordal import COLLISION_TOL, FAR_BLOCK, TraceSample
+from loewner_kit.chordal import COLLISION_TOL, FAR_BLOCK
 from loewner_kit.cli import main
 from loewner_kit.errors import InvalidMap, SelfIntersection
 
-# the oracle's helpers; grow_many records what it returns
-_far_field_walk = chordal._far_field_walk
+from test_far_field import far_field_walk as _far_field_walk
+
+# the oracle's helpers: _far_field_walk returns the points it moved, as it
+# did before it moved them in place; grow_many records what it returns
 GROWN = []
 
 
@@ -40,11 +42,11 @@ def extract_before_one_rule(trace: Sequence) -> DrivingFunction:
     Vertical-slit unzipping: repeatedly read the current tip z_k, emit
     lambda_k = Re z_k with capacity (Im z_k)^2 / 2, and remove that
     elementary slit from every remaining point with the normalizing step
-    lambda + sqrt((w - lambda)^2 + 2 cap).  Accepts a list of
-    :class:`TraceSample` or of complex points, starting at the root on the
-    real axis (to 1e-9) and staying strictly inside the half-plane
-    afterwards.  The round trip with :func:`trace_from_driving` converges
-    at first order in the number of points.
+    lambda + sqrt((w - lambda)^2 + 2 cap).  Accepts a sequence of
+    complex points, starting at the root on the real axis (to 1e-9) and
+    staying strictly inside the half-plane afterwards.  The round trip
+    with :func:`trace_from_driving` converges at first order in the number
+    of points.
 
     The points are unzipped in blocks of ``FAR_BLOCK`` (32): each tip of
     a block is read after the block's earlier steps, and then every later
@@ -73,10 +75,7 @@ def extract_before_one_rule(trace: Sequence) -> DrivingFunction:
     one step, and the point with the lowest Im w then, which need not be
     the first to drop.
     """
-    pts = np.asarray(
-        [p.tip if isinstance(p, TraceSample) else complex(p) for p in trace],
-        dtype=complex,
-    )
+    pts = np.asarray([complex(p) for p in trace], dtype=complex)
     if pts.size == 0:
         raise InvalidMap("extract_driving needs at least the root point")
     if not (cmath.isfinite(pts[0]) and abs(pts[0].imag) <= 1e-9):

@@ -31,7 +31,7 @@ from loewner_kit.chordal import COLLISION_TOL, FAR_BLOCK, FAR_GROUP, erase_many,
 from loewner_kit.maps import slit_walk
 
 from test_evolve_points import far_field_bound
-from test_far_field import trace_oracle
+from test_far_field import far_field_walk, trace_oracle
 
 
 def sin3t(n_sub=64):
@@ -161,7 +161,7 @@ def test_the_one_block_form_gives_the_bits_of_the_old_far_field(table, grow, exa
     with pytest.MonkeyPatch.context() as mp:
         if exact:
             mp.setattr(chordal, "FAR_TOL", 0.0)
-        got = chordal._far_field_walk(grow, lams.tolist(), caps.tolist(), w)
+        got = far_field_walk(grow, lams.tolist(), caps.tolist(), w)
         assert got.tobytes() == one_block_far_field(grow, lams.tolist(), caps.tolist(), w).tobytes()
 
 
@@ -174,7 +174,7 @@ def test_a_group_fitted_in_a_table_gives_the_bits_of_a_one_block_fit(table, grow
     lams, caps, w = table
     check_table_against_rows(grow, lams, caps, w)
     for row_lams, row_caps, row_w in zip(lams.tolist(), caps.tolist(), w):
-        got = chordal._far_field_walk(grow, row_lams, row_caps, row_w)
+        got = far_field_walk(grow, row_lams, row_caps, row_w)
         assert got.tobytes() == one_block_far_field(grow, row_lams, row_caps, row_w).tobytes()
 
 
@@ -226,8 +226,7 @@ def test_the_table_sweeps_walk_a_failed_block_exactly(monkeypatch, failure):
     exact = solve_phi(d, 0.0, 1.0, z), trace_oracle(d, times)
 
     def sweeps():
-        tips = [s.tip for s in trace_from_driving(d, times)]
-        return evolve_points(d, 0.0, 1.0, z).tobytes(), np.array(tips, dtype=complex).tobytes()
+        return evolve_points(d, 0.0, 1.0, z).tobytes(), trace_from_driving(d, times).tobytes()
 
     assert all(a != b.tobytes() for a, b in zip(sweeps(), exact))  # the series
     if failure == "zero tolerance":
@@ -395,15 +394,19 @@ def test_evolve_points_is_the_one_block_sweep(s, t):
 def test_trace_is_the_one_block_sweep(n):
     d = sin3t()
     for times in (np.linspace(0.0, 1.0, n), np.linspace(0.2, 0.9, n)):
-        got = np.array([s.tip for s in trace_from_driving(d, times)], dtype=complex)
+        got = trace_from_driving(d, times)
         assert got.tobytes() == trace_one_block_at_a_time(d, times).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 34, 35, 100, 2001])
 def test_extract_is_the_old_one_block_sweep(monkeypatch, n):
-    tips = [s.tip for s in trace_from_driving(sin3t(), np.linspace(0.0, 1.0, n))]
+    tips = trace_from_driving(sin3t(), np.linspace(0.0, 1.0, n))
     got = extract_driving(tips)
-    monkeypatch.setattr(chordal, "_far_field_walk", one_block_far_field)
+
+    def old_walk(grow, lams, caps, w):
+        w[:] = one_block_far_field(grow, lams, caps, w)
+
+    monkeypatch.setattr(chordal, "_far_field_walk", old_walk)
     want = extract_driving(tips)
     assert np.array(got.knots).tobytes() == np.array(want.knots).tobytes()
     assert got.horizon == want.horizon
@@ -518,7 +521,7 @@ def test_trace_is_the_two_level_sweep(monkeypatch, s, t):
     # there (test_trace_is_the_one_block_sweep)
     d, times = sin3t(), np.linspace(s, t, 8001)
     _, _, calls = recording_far_field(monkeypatch)
-    got = np.array([sample.tip for sample in trace_from_driving(d, times)], dtype=complex)
+    got = trace_from_driving(d, times)
     assert sum(n - near for grouped, n, near in calls if grouped) > 0
     assert got.tobytes() == trace_two_levels(d, times).tobytes()
 
@@ -547,3 +550,19 @@ def test_trace_walks_the_table_once(monkeypatch):
     # besides the two node walks, one run per block, the last one included:
     # every block seeds tips
     assert not any(runs) and len(runs) == 2 + blocks + 1
+
+
+@pytest.mark.parametrize("blocks", range(FAR_GROUP))
+def test_a_sweep_without_a_full_group_fits_only_its_blocks(monkeypatch, blocks):
+    # fewer than FAR_GROUP blocks fill no group, so each sweep fits its
+    # block table alone and walks no empty table of groups; with no block
+    # it fits nothing
+    d = sin3t()
+    t = 0.5 + (blocks * FAR_BLOCK + 2.5) / 12800
+    first, last = d._rows(0.5, t)
+    assert (last - first - 1) // FAR_BLOCK == blocks
+    _, fitted, _ = recording_far_field(monkeypatch)
+    evolve_points(d, 0.5, t, grid(10))
+    # blocks * FAR_BLOCK + 2 steps: the full blocks, and a last block of 1
+    trace_from_driving(d, np.linspace(0.0, 1.0, blocks * FAR_BLOCK + 3))
+    assert fitted == ([(blocks, FAR_BLOCK)] * 2 if blocks else [])

@@ -11,10 +11,10 @@ and the far field's block walker, ``chordal._block_run``, which walks a
 table of blocks' circle nodes, or a block's near points, in one run.  The
 far field has one fitting routine, ``chordal._far_field_fit``, and one
 series evaluator, ``chordal._far_field_series``, called by the two-level
-sweep ``chordal._far_field_sweep`` (once for its blocks and once for its
-groups of blocks), which ``evolve_points`` and ``trace_from_driving``
-call, and by the one-block form ``chordal._far_field_walk``, which
-``extract_driving`` calls.  The one-step helpers ``erase_many`` and
+sweep ``chordal._far_field_sweep`` (once for its blocks and, when a
+group of blocks is full, once for its groups), which ``evolve_points``
+and ``trace_from_driving`` call, and by the one-block form
+``chordal._far_field_walk``, which ``extract_driving`` calls.  The one-step helpers ``erase_many`` and
 ``grow_many`` have a fixed set of callers too: the extraction sweep, for
 the tips it reads one step at a time inside a block.
 """

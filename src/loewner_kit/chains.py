@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chordal import _uniformizer_walk, evolution_operator
+from .chordal import COLLISION_TOL, _uniformizer_walk, evolution_operator
 from .classes import class_c_check
 from .driving import check_windows, knot_lookup, knot_table
 from .errors import InvalidMap, OracleFailure, RangeMismatch
@@ -64,7 +64,6 @@ __all__ = [
     "chordal_admissibility_probe",
 ]
 
-_SWALLOW_TOL = 1e-9
 # reparametrize: slack on the profile's range, and the largest flat rise
 _RANGE_TOL = 1e-9
 
@@ -174,7 +173,9 @@ def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
     Both oracles take their states from one backward walk of w through the
     step partition (``chordal._uniformizer_walk``), with the floats of
     ``hull_uniformizer(driving, t)``'s own walk, bit for bit.  Membership
-    is Im U_t(w) > _SWALLOW_TOL on that walk without the derivative.
+    is Im U_t(w) > ``chordal.COLLISION_TOL`` on that walk without the
+    derivative: at or below it the point has hit the hull, the rule of
+    ``extract_driving``.
     """
 
     def radius(ts: np.ndarray, w: complex) -> np.ndarray:
@@ -191,7 +192,7 @@ def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
                 out.append(2.0 * w.imag)
                 continue
             val = complex(state[0])
-            if val.imag <= _SWALLOW_TOL:
+            if val.imag <= COLLISION_TOL:
                 raise OracleFailure(f"basepoint {w} swallowed by the remaining hull at t = {t}")
             out.append(2.0 * val.imag / abs(complex(state[1])))
         return np.array(out)
@@ -205,7 +206,7 @@ def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
         if not w.imag > 0:
             return np.zeros(len(ts), dtype=bool)
         states = _uniformizer_walk(driving, ts, np.asarray(w, dtype=complex), None)
-        inside = [s is None or complex(s[0]).imag > _SWALLOW_TOL for s in states]
+        inside = [s is None or complex(s[0]).imag > COLLISION_TOL for s in states]
         return np.array(inside, dtype=bool)
 
     probes = (basepoint + 1j, basepoint + 2.0 + 1j, -1.5 + 0.8j)

@@ -55,13 +55,16 @@ COLLISION_TOL = 1e-9
 
 
 def erase_many(w, lam: float, cap: float):
-    """Vectorized erasing step lam + sqrt((w - lam)^2 - 2 cap)."""
+    """Vectorized erasing step lam + sqrt((w - lam)^2 - 2 cap).  Kept only
+    because perfbench/tracer.py wraps it to count slit work: nothing in
+    the package calls it."""
     w = np.asarray(w, dtype=complex)
     return w if cap == 0.0 else slit_walk(w, None, (lam,), (-2.0 * cap,), None)[0]
 
 
 def grow_many(w, lam: float, cap: float):
-    """Vectorized growing step lam + sqrt((w - lam)^2 + 2 cap)."""
+    """Vectorized growing step lam + sqrt((w - lam)^2 + 2 cap).  Kept only
+    for perfbench/tracer.py, as :func:`erase_many` is."""
     w = np.asarray(w, dtype=complex)
     return w if cap == 0.0 else slit_walk(w, None, (lam,), (2.0 * cap,), None)[0]
 
@@ -656,22 +659,25 @@ def extract_driving(trace: Sequence[complex]) -> DrivingFunction:
     :func:`trace_from_driving` converges at first order in the number of
     points.
 
-    The points are unzipped in blocks of ``FAR_BLOCK`` (32): each tip of
-    a block is read after the block's earlier steps, and then every later
-    point takes the block's grow steps through :func:`_far_field_walk`:
-    exact steps within ``FAR_RADIUS`` (3) block radii of the block's
-    center, in the run of the block's circle nodes, and its ``FAR_TERMS``
-    (24)-term Laurent series beyond.  The block radius, proven in
-    :func:`_far_field_fit`, is half the spread of the block's driving
-    values plus 2 sqrt(C), C its capacity, and bounds the block's hull.
-    On the far region a block's series differs from its exact steps by at
-    most ``FAR_TOL`` (1e-14) times |c| + rho, and a block that misses it
-    walks exactly.  On the seed-0 sin(3t) trace of 8,001 points the sweep
-    takes 4.55M exact point-steps (circle nodes included) and 0.86M series
-    evaluations instead of 32.0M exact point-steps, and lambda differs
-    from the all-exact sweep by at most 8.5e-13.  A polyline of at most
-    ``FAR_BLOCK`` + 1 points after the root walks only exact steps, with
-    the floats of the all-exact sweep.
+    The points are unzipped in blocks of ``FAR_BLOCK`` (32).  A block's
+    later points walk its steps in one :func:`~loewner_kit.maps.slit_walk`
+    run, which reads each tip after the block's earlier steps and then
+    takes the tip's step; the tips already read walk on, and are not read
+    again.  Then every later point takes the block's grow steps through
+    :func:`_far_field_walk`: exact steps within ``FAR_RADIUS`` (3) block
+    radii of the block's center, in the run of the block's circle nodes,
+    and its ``FAR_TERMS`` (24)-term Laurent series beyond.  The block
+    radius, proven in :func:`_far_field_fit`, is half the spread of the
+    block's driving values plus 2 sqrt(C), C its capacity, and bounds the
+    block's hull.  On the far region a block's series differs from its
+    exact steps by at most ``FAR_TOL`` (1e-14) times |c| + rho, and a
+    block that misses it walks exactly.  On the seed-0 sin(3t) trace of
+    8,001 points the sweep takes 499 runs of 4.67M exact point-steps
+    (circle nodes included) and 0.86M series evaluations instead of 32.0M
+    exact point-steps, and lambda differs from the all-exact sweep by at
+    most 8.5e-13.  A polyline of at most ``FAR_BLOCK`` + 1 points after
+    the root walks only exact steps, with the floats of the all-exact
+    sweep.
 
     One rule keeps the points in the half-plane: a point less than
     ``COLLISION_TOL`` above the real axis has hit the hull.  A given point
@@ -723,13 +729,18 @@ def extract_driving(trace: Sequence[complex]) -> DrivingFunction:
     times = [0.0]
     work = pts[1:].copy()
     n = work.size
-    # blocks [k0, k1) of points: each tip of the block is read after the
-    # block's earlier steps, then the points after k1 take the whole block
-    # through the far field
+    # blocks [k0, k1) of points: the block's later points walk its steps in
+    # one run, which reads each tip after the block's earlier steps and
+    # then takes its step; the points after k1 take the whole block through
+    # the far field
     for k0 in range(0, n, FAR_BLOCK):
         k1 = min(k0 + FAR_BLOCK, n)
-        for k in range(k0, k1):
-            z = complex(work[k])
+        run_lams, run_cs = [0.0] * (k1 - k0 - 1), [0.0] * (k1 - k0 - 1)
+
+        def read(j, w, _):
+            # point k0 + j + 1 is w[j] after step j; its slit is step j + 1
+            k = k0 + j + 1
+            z = complex(w[j])
             if z.imag < COLLISION_TOL:
                 raise left(k, k0 + 1, k)
             cap = 0.5 * z.imag * z.imag
@@ -739,8 +750,13 @@ def extract_driving(trace: Sequence[complex]) -> DrivingFunction:
             lams.append(z.real)
             caps.append(cap)
             times.append(times[-1] + cap)
-            if k + 1 < k1:
-                work[k + 1 : k1] = grow_many(work[k + 1 : k1], lams[-1], caps[-1])
+            if j + 1 < len(run_lams):
+                run_lams[j + 1], run_cs[j + 1] = z.real, 2.0 * cap
+
+        # the block's first point, read before any step, is w[-1] of its
+        # one-point slice
+        read(-1, work[k0 : k0 + 1], None)
+        slit_walk(work[k0 + 1 : k1], None, run_lams, run_cs, read)
         if k1 < n:
             _far_field_walk(True, lams[k0:], caps[k0:], work[k1:])
             if np.any(work[k1:].imag < COLLISION_TOL):

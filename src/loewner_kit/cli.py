@@ -94,25 +94,27 @@ def _config_of(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _csv_rows(path: str, headers: Tuple[str, ...], widths: Tuple[int, ...] = (2,)):
-    """The header found (one of ``headers``, or None) and the numbered data
-    rows ``(line number, values)`` of a CSV file.
+def _csv_rows(path: str, headers: Tuple[str, ...]):
+    """The header found (one of ``headers``, or None) and the data rows
+    ``(line number, values)`` of a CSV file, numbered by file line.
 
-    Every row must hold one of ``widths`` finite numbers; a violation names
-    the file and the line.
+    Every row must hold one finite number per name of the header in force:
+    the header found, or ``headers[0]`` when the first non-blank line is
+    none of them.  A violation names the file and the line.
     """
     with open(path) as fh:
-        body = [ln for ln in fh.read().splitlines() if ln.strip()]
+        body = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not body:
         raise EmptyFile(f"{path}: no content")
-    first = body[0].replace(" ", "").lower()
+    first = body[0][1].replace(" ", "").lower()
     header = next((h for h in headers if first.startswith(h)), None)
-    start = 0 if header is None else 1
+    form = header or headers[0]
+    width = form.count(",") + 1
     rows = []
-    for ln_no, line in enumerate(body[start:], start=start + 1):
+    for ln_no, line in body[1 if header else 0 :]:
         parts = line.split(",")
-        if len(parts) not in widths:
-            raise ParseError(f"{path}:{ln_no}: expected '{headers[0]}', got {line!r}")
+        if len(parts) != width:
+            raise ParseError(f"{path}:{ln_no}: expected '{form}', got {line!r}")
         try:
             vals = [float(p) for p in parts]
         except ValueError:
@@ -152,15 +154,12 @@ def _parse_points_csv(path: str) -> np.ndarray:
 
 
 def _parse_trace_csv(path: str) -> np.ndarray:
-    """The tips of a trace file as a 1-d complex array; a two-column row
-    under the 're,im' header takes its line number as its time."""
-    header, rows = _csv_rows(path, ("t,re,im", "re,im"), widths=(2, 3))
-    for ln_no, vals in rows:
-        if len(vals) == 2:
-            if header != "re,im":
-                raise ParseError(f"{path}:{ln_no}: a two-column row needs the 're,im' header")
-            vals.insert(0, float(ln_no))
-    t, re, im = np.array([vals for _, vals in rows]).T
+    """The tips of a trace file as a 1-d complex array; under the 're,im'
+    header a row takes its line number as its time."""
+    header, rows = _csv_rows(path, ("t,re,im", "re,im"))
+    lines, vals = zip(*rows)
+    cols = np.array(vals).T
+    t, re, im = (np.array(lines, dtype=float), *cols) if header == "re,im" else cols
     # astype keeps the sign of a zero real part, where re + 1j * im would not
     tips = re.astype(complex)
     tips.imag = im
@@ -371,6 +370,7 @@ def _cmd_chain(args) -> int:
     d = math.inf if args.order == "inf" else _finite(args.order, "--order")
     if d < 1.0:
         raise ParseError(f"--order needs 'inf' or a number >= 1, got {args.order!r}")
+    basepoint = _parse_point(args.basepoint)
     if args.family == "scaled-disks":
         gamma = _gamma_from_expr(args.gamma)
         fam = cantor_family() if gamma is None else scaled_disks(gamma)
@@ -378,12 +378,11 @@ def _cmd_chain(args) -> int:
         if not args.driving:
             raise ParseError("family 'slit' needs --driving")
         driving = parse_driving_csv(args.driving, args.interp, args.horizon)
-        fam = slit_half_plane(driving, basepoint=_parse_point(args.basepoint))
+        fam = slit_half_plane(driving, basepoint=basepoint)
     else:
         raise ParseError(f"unknown chain family {args.family!r}")
 
     grid = _parse_grid(args.grid)
-    basepoint = _parse_point(args.basepoint)
     profile = radius_profile(fam, grid, basepoint)
     report = chain_report(profile, d)
     payload = {"report": report.to_dict(), "kind": fam.kind}

@@ -97,6 +97,8 @@ class DrivingFunction:
 
     @classmethod
     def from_samples(cls, ts, lams, mode: str = "linear", horizon: float = None):
+        if len(ts) != len(lams):
+            raise InvalidMap(f"need as many values as times, got {len(lams)} for {len(ts)}")
         knots = tuple((float(t), float(v)) for t, v in zip(ts, lams))
         return cls(knots, mode, horizon)
 
@@ -105,6 +107,8 @@ class DrivingFunction:
         cls, fn: Callable[[float], float], horizon: float, n: int = 256,
         mode: str = "linear",
     ) -> "DrivingFunction":
+        if n < 2:
+            raise InvalidMap(f"from_function needs n >= 2 samples, got {n}")
         ts = [horizon * j / (n - 1) for j in range(n)]
         return cls(tuple((t, float(fn(t))) for t in ts), mode, horizon)
 

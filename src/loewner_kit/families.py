@@ -81,8 +81,8 @@ class FamilyHandle:
     """Two-parameter family of self-maps given by ``maker(s, t)``.
 
     The identity axiom is probed at construction: maker(s, s) must be the
-    identity to 1e-12 on a small interior grid, at three times in [0, 1]
-    and before the horizon of ``driving``.  ``driving`` is set by
+    identity to ``EF1_TOL`` on a small interior grid, at three times in
+    [0, 1] and before the horizon of ``driving``.  ``driving`` is set by
     :func:`chordal_family`, whose maps are Cayley conjugates of slices of
     that driving term's step partition; :meth:`evaluate_many` then walks
     all its slices in one pass.
@@ -98,7 +98,7 @@ class FamilyHandle:
         for s in (0.0, 0.37 * t_hi, t_hi):
             m = self.maker(s, s)
             res = float(np.max(np.abs(m.evaluate(probes) - probes)))
-            if res > 1e-12:
+            if res > EF1_TOL:
                 raise InvalidMap(
                     f"maker({s}, {s}) deviates from the identity by {res:.2e}"
                 )

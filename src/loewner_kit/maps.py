@@ -103,7 +103,9 @@ def slit_walk(z, d, lams, cs, each):
     (z, d) and return it.  The derivative ``d`` (or None) is carried by the
     chain rule; ``each(j, z, d)``, unless None, runs after step j, and may
     write into ``z``: step j + 1 takes what it leaves there (the trace
-    sweep seeds its tips this way)."""
+    sweep seeds its tips this way).  Step j + 1 is read from ``lams`` and
+    ``cs`` only after ``each(j)`` returns, so ``each`` may fill in their
+    later entries too (the extraction sweep reads its tips this way)."""
     for j, (lam, c) in enumerate(zip(lams, cs)):
         u = z - lam
         root = slit_root(u, c)

@@ -88,6 +88,16 @@ class TestSolvePhi:
         with pytest.raises(InvalidMap):
             DrivingFunction(((0.0, 0.0), (1.0, 1.0)), "linear", n_sub=0)
 
+    def test_samples_of_unequal_counts_rejected(self):
+        # zip would drop the third time and leave two knots
+        with pytest.raises(InvalidMap, match="as many values as times"):
+            DrivingFunction.from_samples([0.0, 0.5, 1.0], [0.0, 1.0])
+
+    def test_one_function_sample_rejected(self):
+        # one sample has no spacing: horizon / (n - 1) divides by zero
+        with pytest.raises(InvalidMap, match="n >= 2"):
+            DrivingFunction.from_function(math.sin, 1.0, n=1)
+
     def test_off_axis_point_against_rk(self):
         d = DrivingFunction.constant(0.0, 1.0)
         got = solve_phi(d, 0.0, 0.5, [1 + 1j])[0]

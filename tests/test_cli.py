@@ -102,6 +102,12 @@ class TestParseDriving:
         assert code == 2
         assert "d.csv: horizon" in capsys.readouterr().err
 
+    def test_rows_after_a_blank_line_keep_their_file_line(self, tmp_path, points_csv, capsys):
+        path = write(tmp_path / "blank.csv", "t,lambda\n0,0\n\n0.5,1\nx,2\n")
+        code, _ = evolve_over_0_1(tmp_path, path, points_csv)
+        assert code == 2
+        assert "blank.csv:5: non-numeric row 'x,2'" in capsys.readouterr().err
+
     def test_nsub_sets_the_driving_partition(self, tmp_path):
         path = write(tmp_path / "d.csv", "t,lambda\n0,0\n1,1\n")
         assert parse_driving_csv(path, "linear", n_sub=5).segments(0.0, 1.0).shape == (5, 3)
@@ -217,6 +223,18 @@ class TestTraceExtractRoundTrip:
         out = tmp_path / "rec.csv"
         assert main(["extract", "--trace", trace, "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, line, header", [
+        ("re,im\n0,0\n0.5,0.1,0.5\n", 3, "re,im"),
+        ("t,re,im\n0,0,0\n0.1,0.5\n", 3, "t,re,im"),
+    ], ids=["re-im-with-three-columns", "t-re-im-with-two-columns"])
+    def test_a_row_of_another_width_exit_2(self, tmp_path, capsys, text, line, header):
+        # the header found fixes the width of every row
+        trace = write(tmp_path / "t.csv", text)
+        out = tmp_path / "rec.csv"
+        assert main(["extract", "--trace", trace, "--out", str(out)]) == 2
+        assert f"t.csv:{line}: expected '{header}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_monotone_violation_exit_2(self, tmp_path):

@@ -162,6 +162,25 @@ def test_exact_work_is_a_quarter_of_the_sweep(monkeypatch):
     assert 0 < grow <= full / 4
 
 
+def test_extraction_walks_a_block_in_two_runs(monkeypatch):
+    # a block's later points walk its steps in one run, which reads its
+    # tips, and the points after it take the block in the run of its circle
+    # nodes: two runs a block, and one for the last block
+    make, n = CASES["sin3t-8001"]
+    tips = trace_from_driving(make(), np.linspace(0.0, 1.0, n))
+    runs = []
+    walk = chordal.slit_walk
+
+    def recording(z, d, lams, cs, each):
+        runs.append(len(lams))
+        return walk(z, d, lams, cs, each)
+
+    monkeypatch.setattr(chordal, "slit_walk", recording)
+    extract_driving(tips)
+    assert (n - 1) // chordal.FAR_BLOCK == 250
+    assert len(runs) == 2 * 250 - 1
+
+
 @pytest.mark.parametrize("make", [CASES[k][0] for k in sorted(CASES)], ids=sorted(CASES))
 def test_at_most_one_block_walks_exactly(make):
     # FAR_BLOCK + 1 points after the root: FAR_BLOCK steps, no series

@@ -14,9 +14,10 @@ series evaluator, ``chordal._far_field_series``, called by the two-level
 sweep ``chordal._far_field_sweep`` (once for its blocks and, when a
 group of blocks is full, once for its groups), which ``evolve_points``
 and ``trace_from_driving`` call, and by the one-block form
-``chordal._far_field_walk``, which ``extract_driving`` calls.  The one-step helpers ``erase_many`` and
-``grow_many`` have a fixed set of callers too: the extraction sweep, for
-the tips it reads one step at a time inside a block.
+``chordal._far_field_walk``, which ``extract_driving`` calls.  The
+extraction sweep walks a block's later points in one run of its own,
+which reads each tip after the block's earlier steps.  The names kept
+only for the benchmark's tracer, ``TRACER_ONLY``, have no caller at all.
 """
 
 import ast
@@ -79,8 +80,13 @@ class _WalkCalls(_KernelCalls):
         self.generic_visit(node)
 
 
+# the names the package keeps only because perfbench/tracer.py wraps them
+# (``_eval`` is also the base wrapper, so it is not among them)
+TRACER_ONLY = ("erase_many", "grow_many", "_deriv")
+
+
 class _StepCalls(_WalkCalls):
-    names = {"erase_many", "grow_many"}
+    names = set(TRACER_ONLY)
 
 
 def _scan(package, visitor):
@@ -104,8 +110,9 @@ def stray_kernel_calls(package=PACKAGE):
 
 
 # the step evaluation of a run, the one-step helpers the tracer wraps, the
-# forward walker over the partition, the far field's block walker and the
-# slit family's backward walk
+# forward walker over the partition, the far field's block walker, the
+# slit family's backward walk and the extraction sweep, whose in-block run
+# reads its tips
 WALK_CALLERS = {
     "SlitStep._eval_deriv",
     "erase_many",
@@ -113,6 +120,7 @@ WALK_CALLERS = {
     "evolve_slices",
     BLOCK_RUN,
     "_uniformizer_walk",
+    "extract_driving",
 }
 
 
@@ -121,10 +129,6 @@ def stray_walk_calls(package=PACKAGE):
     return [c for c in _scan(package, _WalkCalls) if c[2] not in WALK_CALLERS]
 
 
-# the sweep that walks the points inside a block one step at a time: the
-# tips read in an extraction block (the tips seeded in a trace block join
-# the block's run)
-STEP_CALLERS = {"extract_driving"}
 # the two-level sweep, which fits two tables, its blocks and its groups of
 # blocks, and takes a group's near points through its blocks' series; and
 # the one-block form, which the extraction sweep calls
@@ -133,8 +137,8 @@ SERIES_CALLERS = sorted([ONE_BLOCK, SWEEP, SWEEP])
 
 
 def stray_step_calls(package=PACKAGE):
-    """Calls of ``erase_many``/``grow_many`` from anywhere but ``STEP_CALLERS``."""
-    return [c for c in _scan(package, _StepCalls) if c[2] not in STEP_CALLERS]
+    """Calls of the ``TRACER_ONLY`` names, from anywhere in ``package``."""
+    return _scan(package, _StepCalls)
 
 
 def far_field_callers(name, package=PACKAGE):
@@ -278,10 +282,15 @@ def test_step_scan_flags_a_second_block_walker(tmp_path):
             for lam in (0.0, 1.0):
                 w = grow_many(w, lam, 0.5)
             return w
+
+        class SlitStep:
+            def _eval(self, z):
+                return self._deriv(z)
     """))
     assert stray_step_calls(str(pkg)) == [
         ("chordal.py", 6, "trace_from_driving"),
         ("chordal.py", 13, "_blocks"),
+        ("chordal.py", 18, "SlitStep._eval"),
     ]
     assert far_field_callers(FIT, str(pkg)) == ["trace_from_driving"]
     assert far_field_callers(SERIES, str(pkg)) == []
@@ -292,6 +301,25 @@ def test_step_scan_flags_a_second_block_walker(tmp_path):
             return _far_field_fit(False, [], [], None, grid)
     """))
     assert far_field_callers(FIT, str(pkg)) == ["trace_from_driving"] * 2
+
+
+def test_each_may_write_the_later_steps():
+    # a run whose steps 2 and 3 are written by its own each, as the
+    # extraction sweep's run writes the slit of each tip it reads, gives the
+    # bits of three one-step walks
+    lams, cs = [0.3, -0.2, 0.45], [0.02, 0.5, 1e-18]
+    z = np.array([0.3 + 0.2j, -1.0 + 2.0j, 0.4 + 0.01j])
+    run_lams, run_cs = [lams[0], 0.0, 0.0], [cs[0], 0.0, 0.0]
+
+    def write(j, w, _):
+        if j + 1 < len(run_lams):
+            run_lams[j + 1], run_cs[j + 1] = lams[j + 1], cs[j + 1]
+
+    want = z
+    for lam, c in zip(lams, cs):
+        want = chordal.slit_walk(want, None, (lam,), (c,), None)[0]
+    assert np.array_equal(chordal.slit_walk(z, None, run_lams, run_cs, write)[0], want)
+    assert run_lams == lams and run_cs == cs
 
 
 def test_interior_points_walk_without_the_collision_check(monkeypatch):

@@ -103,15 +103,19 @@ def _csv_rows(path: str, headers: Tuple[str, ...]):
     none of them.  A violation names the file and the line.
     """
     with open(path) as fh:
-        body = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
-    if not body:
+        lines = fh.read().splitlines()
+    top = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if top is None:
         raise EmptyFile(f"{path}: no content")
-    first = body[0][1].replace(" ", "").lower()
+    first = lines[top].replace(" ", "").lower()
     header = next((h for h in headers if first.startswith(h)), None)
     form = header or headers[0]
     width = form.count(",") + 1
     rows = []
-    for ln_no, line in body[1 if header else 0 :]:
+    start = top + 1 if header else top
+    for ln_no, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
         parts = line.split(",")
         if len(parts) != width:
             raise ParseError(f"{path}:{ln_no}: expected '{form}', got {line!r}")

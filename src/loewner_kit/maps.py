@@ -84,17 +84,57 @@ def sqrt_upper(u):
     """Square root with values in the closed upper half-plane.
 
     The branch is cut along the positive real axis; nonnegative real inputs
-    get the nonnegative root.  This is the one branch rule shared by every
-    slit step, so all elementary Loewner maps land in the half-plane.
+    get the nonnegative root.  This is the reference branch rule of the
+    slit step: ``slit_root`` computes it without a select, and no walk
+    calls this function (``tests/test_one_slit_walk.py`` fails otherwise).
     """
     s = np.sqrt(np.asarray(u, dtype=complex))
     return np.where(s.imag < 0.0, -s, s)
 
 
 def slit_root(u, c):
-    """The kernel of every slit step: ``sqrt_upper(u^2 + c)`` with u = w - lam,
-    c = -2 cap (erase) or +2 cap (grow); the step is w -> lam + root."""
-    return sqrt_upper(u * u + c)
+    """The kernel of every slit step: the upper root of v = u^2 + c with
+    u = w - lam, c = -2 cap (erase) or +2 cap (grow); the step is
+    w -> lam + root.
+
+    It is computed as ``i * sqrt(-v)`` with numpy's principal root: one
+    subtraction, one square root and an exact multiply by i, no select.
+    ``-0j - c`` is ``complex(-c, -0.0)``, so the subtraction negates
+    Im(u^2) with its sign, zero included, and the operand is exactly -v.
+    On numpy scalars the step stays in numpy's scalar arithmetic, with no
+    0-d array.
+
+    This is ``sqrt_upper(v)`` bit for bit whenever Im v != 0 and the
+    root's smaller part does not underflow to 0.  C's ``csqrt`` is
+    conjugate-symmetric, and for v = x + iy it computes
+    t = sqrt((|x| + hypot(x, y)) / 2) and q = |y| / (2t) the same way for
+    v and -v: the root of v is t + i y/(2t) when x > 0 and
+    q + i copysign(t, y) when x < 0.  So sqrt(-v) = q - i copysign(t, y)
+    when x > 0 and t - i y/(2t) when x < 0, and i * sqrt(-v) is
+    copysign(t, y) + i q or y/(2t) + i t: the root of v with Im > 0,
+    from the same t and the same quotient, which is what ``sqrt_upper``
+    selects by negating sqrt(v) when Im sqrt(v) < 0.  (On x = 0 both
+    parts are sqrt(|y| / 2).)
+
+    Outside those conditions the kernel follows the sign of the computed
+    Im(u^2), where ``sqrt_upper`` can only see the sign of Im sqrt(v):
+
+    * Im v = 0 < v.  A real u (a float or a float array) and a complex u
+      with Im(u^2) = +0 get +sqrt(v), as from ``sqrt_upper``, so
+      ``slit_root(0.0, 1.0) == 1.0``.  A complex u with Im(u^2) = -0
+      (Re u < 0 = Im u, Re u = -0 < Im u, or Re u < 0 < Im u with a
+      product 2 Re u Im u that underflows) gets -sqrt(v), the limit from
+      the upper half-plane, where ``sqrt_upper`` gives +sqrt(v).  Both
+      roots are real: the step puts w on the real axis, on the hull.
+    * q underflows to 0, which needs |Re u| Im u < 2.5e-324 sqrt|v|, a
+      point within a few subnormals of the real axis when |Re u| is
+      about sqrt|v|.  For y < 0 < x the kernel gives -t + 0i, the limit
+      from the upper half-plane, where ``sqrt_upper`` sees
+      Im sqrt(v) = -0, keeps t - 0i and moves the point across lambda.
+      For y < 0 and x < 0 the two differ only in the sign of a zero real
+      part.
+    """
+    return 1j * np.sqrt((-0j - c) - u * u)
 
 
 def slit_walk(z, d, lams, cs, each):

@@ -36,6 +36,7 @@ from loewner_kit.errors import (
     InvalidMap,
     NoConvergence,
 )
+from loewner_kit.maps import slit_root
 
 from conftest import random_halfplane_mobius, sample_disk, sample_half_plane
 
@@ -115,6 +116,64 @@ class TestSqrtBranch:
 
     def test_positive_reals_get_positive_root(self):
         assert complex(sqrt_upper(4.0)) == 2.0
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.uint64).tolist()
+
+
+# the four forms a walk hands the kernel: a Python complex, a numpy scalar,
+# a 0-d array and a point inside a 1-d array (each rounds u * u its own way)
+U_FORMS = (
+    complex,
+    np.complex128,
+    lambda u: np.asarray(u, dtype=complex),
+    lambda u: np.array([0.7 + 0.2j, u, -1.5 + 1e-3j]),
+)
+magnitudes = st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)
+angles = st.floats(-math.pi, math.pi)
+
+
+class TestSlitRootBits:
+    """``slit_root(u, c)`` is ``sqrt_upper(u * u + c)`` bit for bit off the
+    cut, where both parts of the root are nonzero (so Im(u^2 + c) != 0 and
+    the smaller part does not underflow), for each form of u and both
+    signs of c."""
+
+    @staticmethod
+    def _check(u, c):
+        for form in U_FORMS:
+            uf = form(u)
+            want = sqrt_upper(uf * uf + c)
+            assume(np.all(want.real != 0.0) and np.all(want.imag != 0.0))
+            assert _bits(slit_root(uf, c)) == _bits(want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(magnitudes, angles, magnitudes, st.sampled_from([1.0, -1.0]))
+    def test_matches_the_reference_root(self, r, theta, c, sign):
+        self._check(r * complex(math.cos(theta), math.sin(theta)), sign * c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(magnitudes, st.floats(-1e-6, 1e-6), st.floats(-1e-6, 1e-6))
+    def test_matches_next_to_the_slit_tip(self, c, dx, dy):
+        # u near i sqrt(c), where v = u^2 + c nearly cancels to 0
+        tip = 1j * math.sqrt(c)
+        self._check(tip + complex(dx, dy) * abs(tip), c)
+
+    def test_rule_on_the_cut(self):
+        # a real u, or a complex one with Im(u^2) = +0, keeps the
+        # nonnegative root of v > 0
+        assert slit_root(0.0, 1.0) == 1.0
+        root = math.sqrt(1.25)
+        assert _bits(slit_root(0.5, 1.0)) == _bits(slit_root(-0.5, 1.0)) == _bits(root)
+        # Im(u^2) = -0 takes the root's limit from the upper half-plane
+        got = slit_root(np.array([0.5, -0.5], dtype=complex), 1.0)
+        assert _bits(got) == _bits([root, -root])
+        assert _bits(slit_root(complex(-0.5, 0.0), 1.0)) == _bits(-root)
+        assert _bits(slit_root(complex(-0.0, 0.5), 1.0)) == _bits(-math.sqrt(0.75))
+        # Im v = -2e-293 < 0 < Re v: the smaller part of the root underflows,
+        # and the root stays on the side of lambda it came from
+        assert _bits(slit_root(complex(-1e-68, 1e-225), 1e63)) == _bits(-math.sqrt(1e63))
 
 
 class TestPseudoHyperbolic:

@@ -5,9 +5,11 @@ A second call site is a second copy of the step formula
 ``lam + slit_root(w - lam, c)``, which can drift from the first in its
 branch rule, its derivative or the order of its float operations.  The
 scan is by name, so ``slit_root(...)`` and ``maps.slit_root(...)`` both
-count.  In the same way the walk has a fixed set of callers, among them
-``chordal.evolve_slices``, the one forward walker over the step partition,
-and the far field's block walker, ``chordal._block_run``, which walks a
+count.  The select branch rule ``sqrt_upper`` stays public and is the
+tests' reference for the kernel, but no module of the package calls it,
+so no walk can reach the select again.  In the same way the walk has a
+fixed set of callers, among them ``chordal.evolve_slices``, the one
+forward walker over the step partition, and the far field's block walker, ``chordal._block_run``, which walks a
 table of blocks' circle nodes, or a block's near points, in one run.  The
 far field has one fitting routine, ``chordal._far_field_fit``, and one
 series evaluator, ``chordal._far_field_series``, called by the two-level
@@ -33,6 +35,7 @@ from loewner_kit.cli import main
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "loewner_kit")
 KERNEL = "slit_root"
+REFERENCE = "sqrt_upper"
 WALK = "slit_walk"
 BLOCK_RUN = "_block_run"
 FIT, SERIES, SWEEP, ONE_BLOCK = "_far_field_fit", "_far_field_series", "_far_field_sweep", "_far_field_walk"
@@ -142,7 +145,8 @@ def stray_step_calls(package=PACKAGE):
 
 
 def far_field_callers(name, package=PACKAGE):
-    """The scope of each call of ``name``, one entry per call site, sorted."""
+    """The scope of each call of ``name``, one entry per call site, sorted
+    (also used for ``REFERENCE``, which has no caller)."""
 
     class _Calls(_WalkCalls):
         names = {name}
@@ -152,6 +156,10 @@ def far_field_callers(name, package=PACKAGE):
 
 def test_slit_root_is_called_only_by_the_walk():
     assert stray_kernel_calls() == []
+
+
+def test_no_module_calls_the_reference_root():
+    assert far_field_callers(REFERENCE) == []
 
 
 def test_the_walk_calls_the_kernel():
@@ -187,15 +195,20 @@ def test_scan_flags_a_second_copy_of_the_step(tmp_path):
             def _eval(self, z):
                 return 1.0 + maps.slit_root(z - 1.0, 0.5)
 
+            def _deriv(self, z):
+                return maps.sqrt_upper((z - 1.0) ** 2 + 0.5)
+
         TIP = slit_root(0.0, 1.0)
     """))
     assert stray_kernel_calls(str(pkg)) == [
         ("solver.py", 9, "grow"),
         ("solver.py", 13, "_eval"),
-        ("solver.py", 15, "<module>"),
+        ("solver.py", 18, "<module>"),
     ]
+    assert far_field_callers(REFERENCE, str(pkg)) == ["Run._deriv"]
     (pkg / "solver.py").write_text("from .maps import slit_walk\n")
     assert stray_kernel_calls(str(pkg)) == []
+    assert far_field_callers(REFERENCE, str(pkg)) == []
 
 
 def test_slit_walk_has_only_its_known_callers():

@@ -90,40 +90,32 @@ def evolve_points(
     t: float,
     points: Sequence[complex],
 ) -> np.ndarray:
-    """:func:`solve_phi` with the window's interior rows in blocks of
-    ``FAR_BLOCK`` through the far field, for the ``evolve`` verb.
+    """:func:`solve_phi` with the window's run of steps through the far
+    field of :func:`_far_field_sweep`, for the ``evolve`` verb.
 
-    Points, window, shapes and messages are those of :func:`solve_phi`.
-    The clipped first row, the rows after the last full block and the
-    clipped last row walk exactly through :func:`evolve_slices`.  A point
-    that starts below Im w = 2 ``COLLISION_TOL`` walks the whole window
-    exactly, with the collision check, so :class:`StepCollision` names the
-    point and time that :func:`solve_phi` names; the others cannot collide.
-    The other points take the interior blocks through the two-level far
-    field of :func:`_far_field_sweep`, whose docstring states its error
-    and its fits.  A point's floats depend on that point alone, not on the
-    other points of the array.  A window with fewer than ``FAR_BLOCK``
-    interior rows walks exactly, with the floats of :func:`solve_phi`.
+    Points, window, shapes and messages are those of :func:`solve_phi`,
+    checked in its order: the points, then the window.  A point that
+    starts below Im w = 2 ``COLLISION_TOL`` walks the whole window exactly
+    through :func:`evolve_slices`, with the collision check, so
+    :class:`StepCollision` names the point and time that :func:`solve_phi`
+    names; the others cannot collide.  The other points take the rows of
+    ``driving.segments(s, t)`` through the sweep: its head of up to
+    ``FAR_BLOCK`` rows exactly, the rest through the two-level far field,
+    whose error and fits its docstring states.  A point's floats depend on
+    that point alone, not on the other points of the array.  A window of
+    at most ``FAR_BLOCK`` rows is all head, with the floats of
+    :func:`solve_phi`.
     """
     w = np.asarray(points, dtype=complex)
     z = w.ravel()
     _check_points(z)
     # no points, no window to check: as solve_phi
-    first, last = driving._rows(s, t) if z.size else (0, -1)
-    blocks = (last - first - 1) // FAR_BLOCK
-    if blocks < 1:
-        return solve_phi(driving, s, t, w)
-    steps = driving._steps
+    segs = driving.segments(s, t) if z.size else np.empty((0, 3))
     low = z.imag < 2.0 * COLLISION_TOL
-    # every point walks the clipped first row; those that can collide walk
-    # the whole window, with the check
-    z = evolve_slices(driving, np.full(z.size, s), np.where(low, t, steps[first, 1]), z)
+    # the points that can collide walk the whole window, with the check
+    z = evolve_slices(driving, np.full(z.size, s), np.where(low, t, s), z)
     rest = np.flatnonzero(~low)
-    k0 = first + 1 + blocks * FAR_BLOCK
-    rows = steps[first + 1 : k0].reshape(blocks, FAR_BLOCK, 3)
-    lams, caps = rows[:, :, 2], rows[:, :, 1] - rows[:, :, 0]
-    x, _ = _far_field_sweep(lams, caps, z[rest], np.empty((blocks, 0), dtype=complex))
-    z[rest] = evolve_slices(driving, np.full(x.size, steps[k0, 0]), np.full(x.size, t), x)
+    z[rest], _ = _far_field_sweep(segs[:, 2], segs[:, 1] - segs[:, 0], z[rest], np.empty(0, dtype=complex))
     return z[0] if w.ndim == 0 else z.reshape(w.shape)
 
 
@@ -344,15 +336,17 @@ def _block_run(grow: bool, lams: np.ndarray, caps: np.ndarray, z: np.ndarray, ti
     """Row i of the (rows, n) array ``z`` after the block of slit steps
     (``lams[i]``, ``caps[i]``) of a (rows, steps) table, first step to
     last: grow steps when ``grow`` (extraction), else erase steps (traces,
-    ``evolve``).  Every cap is positive: the partition of ``evolve_points``
-    has no zero-length row, a trace grid is strictly increasing, and an
-    extraction tip lies at least ``COLLISION_TOL`` above the real axis.
+    ``evolve``).  Every cap is positive: a window's rows from
+    ``driving.segments`` have positive length, a trace grid is strictly
+    increasing, and an extraction tip lies at least ``COLLISION_TOL``
+    above the real axis.
 
     A one-row table walks its row as a 1-d array with float steps, in one
     :func:`~loewner_kit.maps.slit_walk` run; a (1, 1) lambda would cost
     each numpy operation about 3 us more, for the same floats.  The 1-d
     array ``tips`` joins that run, ``tips[i]`` before step i, and follows
-    the row in the result: this is how a trace seeds its tips.  A larger
+    the row in the result: this is how :func:`_far_field_sweep` seeds a
+    trace's tips in its head and in its blocks.  A larger
     table, which takes no tips, walks step j of every row at once, with
     its lambda and c broadcast as (rows, 1).
     """
@@ -488,13 +482,18 @@ def _far_field_series(fit, w: np.ndarray, far=None) -> np.ndarray:
 
 
 def _far_field_sweep(lams: np.ndarray, caps: np.ndarray, w: np.ndarray, tips: np.ndarray):
-    """The 1-d array ``w`` and the (blocks, k) array ``tips`` after the
-    (blocks, ``FAR_BLOCK``) table (``lams``, ``caps``) of erase steps,
-    block 0 first and each block's steps first to last, for the sweeps
-    that know all their blocks up front (``evolve_points``, with k = 0,
-    and ``trace_from_driving``, with k = ``FAR_BLOCK``).  Every point of
-    ``w`` takes every block; ``tips[b, i]`` joins before step i of block
-    b and takes the steps from there on.
+    """The 1-d arrays ``w`` and ``tips`` after the run of erase steps
+    (``lams[i]``, ``caps[i]``), 1-d and in walk order: the far-field twin
+    of :func:`_block_run`'s one-row exact run, for the sweeps that know
+    their whole run up front (``evolve_points``, ``trace_from_driving``).
+    Every point of ``w`` takes every step; ``tips`` is empty or holds one
+    tip per step, and tip i joins before step i.
+
+    The sweep alone cuts the run into blocks of ``FAR_BLOCK`` (32) steps.
+    The head, the first (L - 1) % ``FAR_BLOCK`` + 1 of its L steps, walks
+    exactly in one :func:`_block_run` with the points and its tips, so a
+    run of at most ``FAR_BLOCK`` steps gives that run's floats; the head's
+    tips then take the full blocks with the points, block 0 first.
 
     The far field has two levels.  Each run of ``FAR_GROUP`` (8)
     consecutive blocks from block 0 is also fitted as one block of 256
@@ -513,13 +512,15 @@ def _far_field_sweep(lams: np.ndarray, caps: np.ndarray, w: np.ndarray, tips: np
     the error stays within the sum of the blocks' terms.  Each level is
     fitted once per call, as one table (:func:`_far_field_fit`): one node
     walk for the blocks, if any, and one for the groups, if a group is
-    full.  A
-    point's floats depend on that point alone, not on the other points of
-    the array.
+    full.  A point's floats depend on that point alone, not on the other
+    points of the array.
     """
-    blocks, k = tips.shape
+    head, n = (lams.size - 1) % FAR_BLOCK + 1, w.size
+    z = _block_run(False, lams[None, :head], caps[None, :head], w[None], tips[:head])[0]
+    lams, caps = lams[head:].reshape(-1, FAR_BLOCK), caps[head:].reshape(-1, FAR_BLOCK)
+    blocks, k = len(lams), FAR_BLOCK if tips.size else 0
     if not blocks:
-        return w, tips
+        return z[:n], z[n:]
     discs = _far_field_discs(False, lams, caps)
     fits, _ = _far_field_fit(False, lams, caps, discs, np.empty((blocks, 0), dtype=complex))
     gfits = []
@@ -533,16 +534,16 @@ def _far_field_sweep(lams: np.ndarray, caps: np.ndarray, w: np.ndarray, tips: np
         terms = (np.abs(discs[0]) + discs[1])[:span].reshape(-1, FAR_GROUP).sum(axis=1)
         used = np.abs(gdiscs[0]) + gdiscs[1] <= terms
         gfits = [(c, rho, b, ok and u) for (c, rho, b, ok), u in zip(gfits, used)]
-    # the points, then the tips in the order they join: before block b the
-    # first n + b k have joined
-    n = w.size
-    z = np.concatenate((w, tips.ravel()))
+    # the points and the head's tips, then the later tips in the order they
+    # join: before block b the first m + b k have joined
+    m = z.size
+    z = np.concatenate((z, tips[head:]))
     for g, b0 in enumerate(range(0, blocks, FAR_GROUP)):
-        b1, p = min(b0 + FAR_GROUP, blocks), n + b0 * k
+        b1, p = min(b0 + FAR_GROUP, blocks), m + b0 * k
         # the blocks after the last group take every point
         near = _far_field_series(gfits[g], z[:p]) if g < len(gfits) else np.arange(p)
         # the group's near points, then the tips that join inside it
-        y = np.concatenate((z[near], z[p : n + b1 * k]))
+        y = np.concatenate((z[near], z[p : m + b1 * k]))
         if not y.size:
             continue
         for i in range(b0, b1):
@@ -551,8 +552,8 @@ def _far_field_sweep(lams: np.ndarray, caps: np.ndarray, w: np.ndarray, tips: np
             if inner.size or k:
                 x = _block_run(False, lams[i : i + 1], caps[i : i + 1], y[inner][None], y[q : q + k])[0]
                 y[inner], y[q : q + k] = x[: inner.size], x[inner.size :]
-        z[near], z[p : n + b1 * k] = y[: near.size], y[near.size :]
-    return z[:n], z[n:].reshape(blocks, k)
+        z[near], z[p : m + b1 * k] = y[: near.size], y[near.size :]
+    return z[:n], z[n:]
 
 
 def _far_field_walk(grow: bool, lams: List[float], caps: List[float], w: np.ndarray) -> None:
@@ -591,26 +592,27 @@ def trace_from_driving(driving: DrivingFunction, grid: Sequence[float]) -> np.nd
     hull grows at the current driving value.  The grid doubles as the step
     partition, so accuracy is controlled by its resolution.
 
-    The steps are cut into blocks of ``FAR_BLOCK`` (32) consecutive
-    intervals, walked last block first, each block's steps last to first.
-    The tips seeded in the last block, which has no later tips, walk it
-    exactly.  The other blocks go through the two-level far field of
-    :func:`_far_field_sweep`, with the tips seeded in a block joining it
-    before the first step they take: a later tip beyond ``FAR_RADIUS`` (3)
-    radii of a group of ``FAR_GROUP`` (8) blocks, or of a block, takes its
-    ``FAR_TERMS`` (24)-term Laurent series (:func:`_far_field_series`),
-    and the nearer tips walk the block's exact steps.  The block radius,
-    proven in :func:`_far_field_fit`, is half the spread of the block's
-    driving values plus sqrt(2 C), C its capacity.  On the far region a
-    series differs from its exact steps by at most ``FAR_TOL`` (1e-14)
-    times |c| + rho, checked on the circle |w - c| = rho where the error
-    is largest; a block or group that misses it walks exactly.  On the
+    Of the m steps, one per grid interval, the m - 1 that later tips take
+    are one run of :func:`_far_field_sweep`, last step first, with each
+    tip after tip 0 joining it before the first step it takes.  The sweep
+    cuts the run: its head, the last (m - 2) % ``FAR_BLOCK`` + 1 of those
+    steps, walks exactly with its tips, and the blocks of ``FAR_BLOCK``
+    (32) steps before it go through the two-level far field: a later tip
+    beyond ``FAR_RADIUS`` (3) radii of a group of ``FAR_GROUP`` (8)
+    blocks, or of a block, takes its ``FAR_TERMS`` (24)-term Laurent
+    series (:func:`_far_field_series`), and the nearer tips walk the
+    block's exact steps.  The block radius, proven in
+    :func:`_far_field_fit`, is half the spread of the block's driving
+    values plus sqrt(2 C), C its capacity.  On the far region a series
+    differs from its exact steps by at most ``FAR_TOL`` (1e-14) times
+    |c| + rho, checked on the circle |w - c| = rho where the error is
+    largest; a block or group that misses it walks exactly.  On the
     seed-0 sin(3t) grid of 8,001 points the sweep takes 252 runs of 2.88M
     exact point-steps (circle nodes included) and 0.54M series
     evaluations instead of 32.0M exact point-steps, and the tips differ
     from the all-exact sweep by at most 6.8e-14.  A grid of at most
-    ``FAR_BLOCK`` steps walks only exact steps, with the floats of the
-    all-exact sweep.
+    ``FAR_BLOCK`` steps with later tips is all head, with the floats of
+    the all-exact sweep.
     """
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or not np.all(times[:-1] < times[1:]):
@@ -627,21 +629,10 @@ def trace_from_driving(driving: DrivingFunction, grid: Sequence[float]) -> np.nd
     caps = np.diff(bounds)
     lams = driving.value(0.5 * (bounds[:-1] + bounds[1:]))
     seeds = lams + 1j * np.sqrt(2.0 * caps)
-    # tip j is seeded before step j - 1 and takes the steps down to 0.  The
-    # full blocks [0, j0) of steps have later tips; the tips of the last
-    # block [j0, m - 1) walk it exactly, then every tip after tip 0 takes
-    # the full blocks in walk order: last block first, steps reversed
-    m = len(work)
-    table = max(m - 2, 0) // FAR_BLOCK
-    j0 = table * FAR_BLOCK
-    last = _block_run(False, lams[None, j0 : m - 1][:, ::-1], caps[None, j0 : m - 1][:, ::-1],
-                      np.empty((1, 0), dtype=complex), seeds[j0 + 1 :][::-1])[0]
-
-    def walk_order(a):
-        return a[:j0].reshape(table, FAR_BLOCK)[::-1, ::-1]
-
-    later, inside = _far_field_sweep(walk_order(lams), walk_order(caps), last, walk_order(seeds[1:]))
-    tips = np.concatenate((root, seeds[:1], inside[::-1, ::-1].ravel(), later[::-1]))
+    # tip j takes steps j - 1 down to 0: in walk order, last step first,
+    # it joins just before step j - 1
+    _, later = _far_field_sweep(lams[-2::-1], caps[-2::-1], np.empty(0, dtype=complex), seeds[:0:-1])
+    tips = np.concatenate((root, seeds[:1], later[::-1]))
     _check_trace(times, tips)
     return tips
 

@@ -84,12 +84,17 @@ def sqrt_upper(u):
     """Square root with values in the closed upper half-plane.
 
     The branch is cut along the positive real axis; nonnegative real inputs
-    get the nonnegative root.  This is the reference branch rule of the
-    slit step: ``slit_root`` computes it without a select, and no walk
-    calls this function (``tests/test_one_slit_walk.py`` fails otherwise).
+    get the nonnegative root.  The select negates the principal root where
+    its imaginary part or the input's is negative: the root of an input
+    with Im u < 0 whose imaginary part underflows to -0 still goes to the
+    upper side, so ``sqrt_upper(1e63 - 2e-293j)`` is -3.16e31 + 0j.  This
+    is the reference branch rule of the slit step: ``slit_root`` computes
+    it without a select, and no walk calls this function
+    (``tests/test_one_slit_walk.py`` fails otherwise).
     """
-    s = np.sqrt(np.asarray(u, dtype=complex))
-    return np.where(s.imag < 0.0, -s, s)
+    v = np.asarray(u, dtype=complex)
+    s = np.sqrt(v)
+    return np.where((s.imag < 0.0) | (v.imag < 0.0), -s, s)
 
 
 def slit_root(u, c):
@@ -129,10 +134,10 @@ def slit_root(u, c):
     * q underflows to 0, which needs |Re u| Im u < 2.5e-324 sqrt|v|, a
       point within a few subnormals of the real axis when |Re u| is
       about sqrt|v|.  For y < 0 < x the kernel gives -t + 0i, the limit
-      from the upper half-plane, where ``sqrt_upper`` sees
-      Im sqrt(v) = -0, keeps t - 0i and moves the point across lambda.
-      For y < 0 and x < 0 the two differ only in the sign of a zero real
-      part.
+      from the upper half-plane, and so does ``sqrt_upper``, whose select
+      sees y < 0 where Im sqrt(v) is -0: the point keeps its side of
+      lambda.  For y < 0 and x < 0 the two differ only in the sign of a
+      zero real part.
     """
     return 1j * np.sqrt((-0j - c) - u * u)
 
@@ -757,10 +762,15 @@ def map_from_spec(spec: dict) -> MapEvaluator:
     if kind == "cayley_inverse":
         return CAYLEY_INV
     if kind == "slit_step":
-        def floats(v):
-            return np.array(v, dtype=float)
+        def run(v, size=None):
+            a = np.array(v, dtype=float, ndmin=1)
+            if a.ndim != 1 or not a.size or (size and a.size != size):
+                want = f"{size} numbers, as many as 'lam'" if size else "a number or a nonempty flat list"
+                raise ValueError(f"need {want}, got shape {a.shape}")
+            return a
 
-        return SlitStep(read("lam", floats), read("capacity", floats), spec.get("direction", "erase"))
+        lam = read("lam", run)
+        return SlitStep(lam, read("capacity", lambda v: run(v, lam.size)), spec.get("direction", "erase"))
     if kind == "disk_automorphism":
         return DiskAutomorphism(read("a", _c_from))
     if kind == "measure_map":
@@ -768,5 +778,8 @@ def map_from_spec(spec: dict) -> MapEvaluator:
     if kind == "nevanlinna":
         return NevanlinnaMap(read("beta", float), read("alpha", float), read("measure", MeasureSpec.from_spec))
     if kind == "compose":
-        return compose(*reversed(read("parts", lambda ps: [map_from_spec(p) for p in ps])))
+        parts = read("parts", lambda ps: [map_from_spec(p) for p in ps])
+        if not parts:
+            raise ParseError(f"map spec kind {kind!r} has a bad 'parts': need at least one part")
+        return compose(*reversed(parts))
     raise ParseError(f"unknown map spec kind: {kind!r}")

@@ -277,7 +277,11 @@ class TestClassify:
         ('{"kind": "affine", "a": [1]}', "'a'"),
         ('{"kind": "slit_step", "lam": "x", "capacity": 1}', "'lam'"),
         ('{"kind": "disk_automorphism", "a": [1%s, 0]}' % ("0" * 400), "'a'"),
-    ], ids=["list", "missing-key", "short-pair", "non-numeric", "huge-number"])
+        ('{"kind": "slit_step", "lam": [0, 1], "capacity": [0.1]}', "'capacity'"),
+        ('{"kind": "slit_step", "lam": [[0, 1]], "capacity": [[0.1, 0.2]]}', "'lam'"),
+        ('{"kind": "compose", "parts": []}', "'parts'"),
+    ], ids=["list", "missing-key", "short-pair", "non-numeric", "huge-number",
+            "unequal-run", "2-d-run", "no-parts"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, spec, named):
         bad = write(tmp_path / "bad.json", spec)
         out = tmp_path / "r.json"

@@ -1,12 +1,14 @@
 """The far-field sweep of the ``evolve`` verb, ``chordal.evolve_points``,
 with ``solve_phi``, the exact walker, as its oracle.
 
-``evolve_points`` walks a window's clipped first row, the rows after its
-last full block and its clipped last row exactly, and each block of
-``FAR_BLOCK`` interior rows through the far field (``chordal._far_field_fit``
-and ``chordal._far_field_series``).  So it
+``evolve_points`` hands the rows of ``driving.segments(s, t)`` to the
+sweep ``chordal._far_field_sweep`` as one run.  The sweep walks the run's
+head of (L - 1) % ``FAR_BLOCK`` + 1 of its L rows exactly, and each block
+of ``FAR_BLOCK`` rows after it through the far field
+(``chordal._far_field_fit`` and ``chordal._far_field_series``).  So it
 differs from ``solve_phi`` only by the blocks' series errors, carried to
-the window's end, and by the rounding of both walks.
+the window's end, and by the rounding of both walks; a window of at most
+``FAR_BLOCK`` rows is all head.
 """
 
 import math
@@ -41,47 +43,51 @@ def grid(side=50):
     return (xs + 1j * ys).ravel()
 
 
-def interior_blocks(driving, s, t):
-    """The (lams, caps) of each full block of interior rows of [s, t], as
-    ``evolve_points`` cuts them."""
-    first, last = driving._rows(s, t)
-    steps = driving._steps
-    k0 = first + 1 + max((last - first - 1) // FAR_BLOCK, 0) * FAR_BLOCK
-    return [
-        (steps[j : j + FAR_BLOCK, 2], steps[j : j + FAR_BLOCK, 1] - steps[j : j + FAR_BLOCK, 0])
-        for j in range(first + 1, k0, FAR_BLOCK)
-    ]
+def run_blocks(lams, caps):
+    """The (lams, caps) of each full block of a run of steps, as
+    ``_far_field_sweep`` cuts it: the blocks of ``FAR_BLOCK`` steps after
+    the head of (L - 1) % FAR_BLOCK + 1 steps."""
+    head = (len(lams) - 1) % FAR_BLOCK + 1
+    return [(lams[j : j + FAR_BLOCK], caps[j : j + FAR_BLOCK]) for j in range(head, len(lams), FAR_BLOCK)]
 
 
-def far_field_bound(driving, s, t, z, exact):
-    """The largest difference from ``solve_phi`` (``exact``) allowed at
-    each point of ``z``, derived from the far field's per-block bound.
+def run_bound(lams, caps, z, exact):
+    """The largest difference from the exact run allowed at each point of
+    ``z`` after the run of erase steps (``lams``, ``caps``) through
+    ``_far_field_sweep``, ``exact`` the exact run's values, derived from
+    the far field's per-block bound.
 
     A block's series differs from its exact steps by at most FAR_TOL
     (|c| + rho) on its far region (``_far_field_fit``: c the center of its
     driving values, rho FAR_RADIUS times their half-spread plus sqrt(2 C),
-    C the block's capacity).  The steps
-    after it map the half-plane into itself, so by the Schwarz-Pick lemma
-    they stretch an error at w by at most Im phi(w) / Im w, which is at
-    most Im phi(z) / Im z for the whole window, since Im w never decreases
-    along the flow.  Both walks also round each row, by at most ROW_ULPS
-    eps of |w| + |lam|, where |w| <= |z| + sqrt(2 (t - s)).
+    C the block's capacity).  A group of blocks is used only where its own
+    term is at most the sum of its blocks', so the blocks' sum bounds it
+    too.  The steps after a block map the half-plane into itself, so by
+    the Schwarz-Pick lemma they stretch an error at w by at most
+    Im phi(w) / Im w, which is at most Im phi(z) / Im z for the whole
+    run, since Im w never decreases along the flow.  Both walks also round
+    each row, by at most ROW_ULPS eps of |w| + |lam|, where
+    |w| <= |z| + sqrt(2 C), C the run's capacity.
     """
     series = 0.0
-    for lams, caps in interior_blocks(driving, s, t):
-        lo, hi = lams.min(), lams.max()
-        rho = FAR_RADIUS * (0.5 * (hi - lo) + math.sqrt(2.0 * math.fsum(caps)))
+    for block_lams, block_caps in run_blocks(lams, caps):
+        lo, hi = block_lams.min(), block_lams.max()
+        rho = FAR_RADIUS * (0.5 * (hi - lo) + math.sqrt(2.0 * math.fsum(block_caps)))
         series += FAR_TOL * (abs(0.5 * (lo + hi)) + rho)
-    first, last = driving._rows(s, t)
-    rows = max(last - first + 1, 0)
-    size = np.abs(z) + math.sqrt(2.0 * (t - s)) + np.max(np.abs(driving._steps[:, 2]))
+    size = np.abs(z) + math.sqrt(2.0 * math.fsum(caps)) + np.max(np.abs(lams), initial=0.0)
     stretch = exact.imag / z.imag
-    return stretch * (series + 2 * rows * ROW_ULPS * EPS * size)
+    return stretch * (series + 2 * len(lams) * ROW_ULPS * EPS * size)
 
 
-def interior_rows(driving, s, t):
-    first, last = driving._rows(s, t)
-    return max(last - first - 1, 0)
+def far_field_bound(driving, s, t, z, exact):
+    """``run_bound`` for ``evolve_points`` over [s, t], ``exact`` the values
+    of ``solve_phi``."""
+    rows = driving.segments(s, t)
+    return run_bound(rows[:, 2], rows[:, 1] - rows[:, 0], z, exact)
+
+
+def window_rows(driving, s, t):
+    return len(driving.segments(s, t))
 
 
 class TestAgainstSolvePhi:
@@ -109,7 +115,7 @@ class TestAgainstSolvePhi:
         z = np.array(pts + [6.0 + 0.5j, -5.0 + 3.0j], dtype=complex)
         want = solve_phi(d, s, t, z)
         got = evolve_points(d, s, t, z)
-        if interior_rows(d, s, t) < FAR_BLOCK:
+        if window_rows(d, s, t) <= FAR_BLOCK:
             assert np.array_equal(got, want)
         else:
             assert np.all(np.abs(got - want) <= far_field_bound(d, s, t, z, want))
@@ -120,14 +126,15 @@ class TestExactParts:
         d, z = sin3t(), grid()
         steps = d._steps
         for s, t in [(0.5, 0.5003), (0.5, 0.5), (0.0, 0.0), (0.999, 1.0)]:
-            assert interior_rows(d, s, t) < FAR_BLOCK
+            assert window_rows(d, s, t) <= FAR_BLOCK
             assert np.array_equal(evolve_points(d, s, t, z), solve_phi(d, s, t, z))
-        # a clipped first row, FAR_BLOCK - 1 or FAR_BLOCK interior rows and
-        # a clipped last row: the second takes one block's series
+        # FAR_BLOCK or FAR_BLOCK + 1 rows from a clipped first row to a
+        # clipped last row: the second is a head of one row and a block,
+        # which takes its series
         s = 0.5 * (steps[100, 0] + steps[100, 1])
-        for n, exact in ((FAR_BLOCK - 1, True), (FAR_BLOCK, False)):
-            t = 0.5 * (steps[101 + n, 0] + steps[101 + n, 1])
-            assert interior_rows(d, s, t) == n
+        for n, exact in ((FAR_BLOCK, True), (FAR_BLOCK + 1, False)):
+            t = 0.5 * (steps[99 + n, 0] + steps[99 + n, 1])
+            assert window_rows(d, s, t) == n
             want = solve_phi(d, s, t, z)
             got = evolve_points(d, s, t, z)
             assert np.array_equal(got, want) == exact
@@ -139,7 +146,7 @@ class TestExactParts:
         # value's neighbourhood, where these points start
         d = DrivingFunction(((0.0, 0.0), (1.0, 0.0)), "linear", 1.0, 256)
         z = np.array([0.01j, 0.02 + 0.05j, -0.03 + 0.02j])
-        assert interior_rows(d, 0.0, 1.0) >= FAR_BLOCK
+        assert window_rows(d, 0.0, 1.0) > FAR_BLOCK
         assert np.array_equal(evolve_points(d, 0.0, 1.0, z), solve_phi(d, 0.0, 1.0, z))
 
 
@@ -197,12 +204,12 @@ class TestCollisions:
         # from 0, the point M / 8 walks through (M - j) / 8 exactly and meets
         # the driving value at the end of the last row, 12.5; so does
         # -M / 8, and the lower index is reported.  The far points take the
-        # series of the one block of interior rows.
+        # series of the one block after a head of 8 rows.
         m = 40
         times = [(m * m - (m - j) ** 2) / 128 for j in range(m)]
         d = DrivingFunction(tuple((u, 0.0) for u in times), "const", m * m / 128)
         z = np.array([40.0 + 1.0j, m / 8 + 1e-20j, -m / 8 + 1e-20j, -50.0 + 2.0j, 20.0 + 30.0j])
-        assert interior_rows(d, 0.0, d.horizon) >= FAR_BLOCK
+        assert window_rows(d, 0.0, d.horizon) > FAR_BLOCK
         want = outcome(solve_phi, d, 0.0, d.horizon, z)
         assert want == (1, 12.5, "point 1 absorbed by the hull near t = 12.5")
         assert outcome(evolve_points, d, 0.0, d.horizon, z) == want

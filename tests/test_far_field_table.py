@@ -30,7 +30,7 @@ from loewner_kit import DrivingFunction, chordal, evolve_points, extract_driving
 from loewner_kit.chordal import COLLISION_TOL, FAR_BLOCK, FAR_GROUP, erase_many, solve_phi
 from loewner_kit.maps import slit_walk
 
-from test_evolve_points import far_field_bound
+from test_evolve_points import far_field_bound, run_bound
 from test_far_field import far_field_walk, trace_oracle
 
 
@@ -239,21 +239,22 @@ def test_the_table_sweeps_walk_a_failed_block_exactly(monkeypatch, failure):
 
 def evolve_two_levels(driving, s, t, points):
     """``evolve_points`` with each group of ``FAR_GROUP`` blocks and each
-    block through ``one_block_far_field``.  A group's near points walk its
-    blocks, and a group whose error term |c| + rho exceeds the sum of its
-    blocks' walks every point through its blocks; the blocks after the
-    last group take the points one block at a time."""
+    block through ``one_block_far_field``.  The window's first
+    (L - 1) % FAR_BLOCK + 1 of its L rows walk exactly, and full blocks
+    follow.  A group's near points walk its blocks, and a group whose
+    error term |c| + rho exceeds the sum of its blocks' walks every point
+    through its blocks; the blocks after the last group take the points
+    one block at a time."""
     z = np.array(points, dtype=complex)
-    first, last = driving._rows(s, t)
-    blocks = (last - first - 1) // FAR_BLOCK
-    steps = driving._steps
     low = z.imag < 2.0 * COLLISION_TOL
-    z = chordal.evolve_slices(driving, np.full(z.size, s), np.where(low, t, steps[first, 1]), z)
+    z = chordal.evolve_slices(driving, np.full(z.size, s), np.where(low, t, s), z)
     rest = np.flatnonzero(~low)
+    rows = driving.segments(s, t)
+    head = (len(rows) - 1) % FAR_BLOCK + 1
     x = z[rest]
-    k0 = first + 1 + blocks * FAR_BLOCK
-    rows = steps[first + 1 : k0]
-    lams, caps = rows[:, 2].tolist(), (rows[:, 1] - rows[:, 0]).tolist()
+    for t0, t1, lam in rows[:head].tolist():
+        x = erase_many(x, lam, t1 - t0)
+    lams, caps = rows[head:, 2].tolist(), (rows[head:, 1] - rows[head:, 0]).tolist()
 
     def through_blocks(j0, j1, y):
         for j in range(j0, j1, FAR_BLOCK):
@@ -270,8 +271,7 @@ def evolve_two_levels(driving, s, t, points):
             x = one_block_far_field(False, lams[j : j + group], caps[j : j + group], x, blocks_of_group)
         else:
             x = blocks_of_group(x)
-    x = through_blocks(span, len(lams), x)
-    z[rest] = chordal.evolve_slices(driving, np.full(x.size, steps[k0, 0]), np.full(x.size, t), x)
+    z[rest] = through_blocks(span, len(lams), x)
     return z
 
 
@@ -361,25 +361,65 @@ def trace_two_levels(driving, grid):
     return np.concatenate((np.array(tips, dtype=complex), vals))
 
 
-# windows of sin3t(): (groups, blocks after the last group) in each
+@st.composite
+def runs(draw):
+    """An erase run of 0 to 300 steps, in walk order: a random walk of
+    driving values about a center, positive caps from 1e-6 to 1e-3, up to
+    six points at distances from 1e-2 to 30 of the center, and either no
+    tips or one tip per step, as near the run as the points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = draw(st.integers(0, 300))
+    center, spread = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 0.5)
+    lams = center + spread * np.cumsum(rng.normal(size=steps)) / math.sqrt(max(steps, 1))
+    caps = 10.0 ** rng.uniform(-6.0, -3.0, steps)
+
+    def points(n):
+        return center + 10.0 ** rng.uniform(-2.0, 1.5, n) * np.exp(1j * rng.uniform(1e-3, np.pi - 1e-3, n))
+
+    tips = points(steps) if draw(st.booleans()) else np.empty(0, dtype=complex)
+    return lams, caps, points(draw(st.integers(0, 6))), tips
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs())
+def test_the_sweep_is_its_run_up_to_the_far_field(run):
+    # the sweep's contract: the points and the tips after the run, tip i
+    # joining before step i.  A run of at most FAR_BLOCK steps is all
+    # head, with the bits of the one-row exact run; a longer one stays
+    # within the summed bound of the blocks after its head
+    lams, caps, w, tips = run
+    got = np.concatenate(chordal._far_field_sweep(lams, caps, w, tips))
+    exact = chordal._block_run(False, lams[None], caps[None], w[None], tips)[0]
+    assert got.shape == exact.shape == (w.size + tips.size,)
+    if lams.size <= FAR_BLOCK:
+        assert got.tobytes() == exact.tobytes()
+    else:
+        bound = run_bound(lams, caps, np.concatenate((w, tips)), exact)
+        assert np.all(np.abs(got - exact) <= bound)
+
+
+# windows of sin3t(): (rows in the exact head, groups, blocks after the
+# last group) in each
 WINDOWS = {
-    (0.0, 1.0): (49, 7),
-    (0.137, 0.91): (38, 5),
-    (0.2, 0.521): (16, 0),
-    (0.3, 0.33): (1, 3),
-    (0.3, 0.322): (1, 0),
-    (0.5, 0.51): (0, 3),
+    (0.0, 1.0): (32, 49, 7),
+    (0.137, 0.91): (7, 38, 5),
+    (0.2, 0.521): (13, 16, 0),
+    (0.3, 0.33): (32, 1, 3),
+    (0.3, 0.322): (26, 1, 0),
+    (0.5, 0.51): (32, 0, 3),
+    (0.5, 0.52004): (1, 1, 0),
 }
 
 
 @pytest.mark.parametrize("s, t", sorted(WINDOWS))
 def test_evolve_points_is_the_one_block_sweep(s, t):
     # many groups, one group and none, with and without blocks after the
-    # last group; every group passes the guard on sin(3t)
+    # last group, and heads of 1 to 32 rows; every group passes the guard
+    # on sin(3t)
     d = sin3t()
-    first, last = d._rows(s, t)
-    blocks = (last - first - 1) // FAR_BLOCK
-    assert (blocks // FAR_GROUP, blocks % FAR_GROUP) == WINDOWS[s, t]
+    rows = len(d.segments(s, t))
+    blocks = (rows - 1) // FAR_BLOCK
+    assert ((rows - 1) % FAR_BLOCK + 1, blocks // FAR_GROUP, blocks % FAR_GROUP) == WINDOWS[s, t]
     rng = np.random.default_rng(13)
     z = np.concatenate((
         grid(20),
@@ -414,11 +454,12 @@ def test_extract_is_the_old_one_block_sweep(monkeypatch, n):
 
 def test_a_group_worse_than_its_blocks_is_not_used(monkeypatch):
     # const driving, one row per knot of width 1/256: 0 up to row 224,
-    # then 50.  Rows 1-256 are the one group and rows 225-256 its last
-    # block, so the group's circle has center 25 and radius 3 (25 +
-    # sqrt(2)), where each block's is centered at 0 or 50 with radius 1.5:
-    # the group's error term |c| + rho, 104, exceeds its blocks' sum, 62
-    m = 300
+    # then 50.  Row 0 is the exact head, rows 1-256 are the one group and
+    # rows 225-256 its last block, so the group's circle has center 25 and
+    # radius 3 (25 + sqrt(2)), where each block's is centered at 0 or 50
+    # with radius 1.5: the group's error term |c| + rho, 104, exceeds its
+    # blocks' sum, 62
+    m = 289
     d = DrivingFunction(tuple((k / 256, 0.0 if k < 225 else 50.0) for k in range(m + 1)), "const", m / 256)
     first, last = d._rows(0.0, d.horizon)
     assert (first, last) == (0, m - 1)
@@ -486,8 +527,9 @@ def recording_far_field(monkeypatch):
 
 
 def test_evolve_points_walks_the_table_once(monkeypatch):
-    # 201 linear knots of sin(3t), n_sub 64, over [0, 1]: 12,800 rows,
-    # 399 blocks, 49 groups of FAR_GROUP blocks and 7 blocks after them.
+    # 201 linear knots of sin(3t), n_sub 64, over [0, 1]: 12,800 rows, a
+    # head of 32, 399 blocks, 49 groups of FAR_GROUP blocks and 7 blocks
+    # after them.
     # One block at a time, the call made 403 runs, and each of the 2,500
     # points took the series of nearly every block
     runs, fitted, calls = recording_far_field(monkeypatch)
@@ -507,8 +549,10 @@ def test_evolve_points_walks_the_table_once(monkeypatch):
     assert all(n == z.size for n, _ in group_calls)
     after = blocks - groups * FAR_GROUP
     assert [n for n, _ in block_calls] == [near for _, near in group_calls for _ in range(FAR_GROUP)] + [z.size] * after
-    # besides the fits and the exact rows, one run per block with near points
-    assert len(runs) - sum(runs) == fit_runs + sum(near > 0 for _, near in block_calls)
+    # no point walks evolve_slices' exact rows; besides the fits and the
+    # head, one run per block with near points
+    assert not any(runs)
+    assert len(runs) == fit_runs + 1 + sum(near > 0 for _, near in block_calls)
     assert sum(near > 0 for _, near in block_calls) < blocks / 2 and len(runs) < 403 / 2
     # far fewer series than one per block per point
     assert sum(n - near for _, n, near in calls) < z.size * blocks / 5

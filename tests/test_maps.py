@@ -117,6 +117,16 @@ class TestSqrtBranch:
     def test_positive_reals_get_positive_root(self):
         assert complex(sqrt_upper(4.0)) == 2.0
 
+    def test_an_underflowed_root_stays_on_the_upper_side(self):
+        # Im v < 0 < Re v and the principal root's imaginary part underflows
+        # to -0: the root in the closed upper half-plane is -t + 3e-325j,
+        # which rounds to -t + 0j, not t - 0j
+        root = -math.sqrt(1e63) + 0j
+        assert _bits(sqrt_upper(1e63 - 2e-293j)) == _bits(root)
+        assert _bits(sqrt_upper(np.array([1e63 - 2e-293j, 4.0]))) == _bits([root, 2.0])
+        # the kernel's step from the real side of that v
+        assert _bits(slit_root(complex(-1e-68, 1e-225), 1e63)) == _bits(root)
+
 
 def _bits(x):
     return np.atleast_1d(np.asarray(x, dtype=complex)).view(np.uint64).tolist()

@@ -9,17 +9,21 @@ count.  The select branch rule ``sqrt_upper`` stays public and is the
 tests' reference for the kernel, but no module of the package calls it,
 so no walk can reach the select again.  In the same way the walk has a
 fixed set of callers, among them ``chordal.evolve_slices``, the one
-forward walker over the step partition, and the far field's block walker, ``chordal._block_run``, which walks a
-table of blocks' circle nodes, or a block's near points, in one run.  The
+forward walker over the step partition, and the far field's block
+walker, ``chordal._block_run``, which walks a table of blocks' circle
+nodes, a block's near points, or a run's exact head, in one run.  The
 far field has one fitting routine, ``chordal._far_field_fit``, and one
 series evaluator, ``chordal._far_field_series``, called by the two-level
 sweep ``chordal._far_field_sweep`` (once for its blocks and, when a
-group of blocks is full, once for its groups), which ``evolve_points``
-and ``trace_from_driving`` call, and by the one-block form
-``chordal._far_field_walk``, which ``extract_driving`` calls.  The
-extraction sweep walks a block's later points in one run of its own,
-which reads each tip after the block's earlier steps.  The names kept
-only for the benchmark's tracer, ``TRACER_ONLY``, have no caller at all.
+group of blocks is full, once for its groups), and by the one-block form
+``chordal._far_field_walk``, which ``extract_driving`` calls.  The sweep
+takes a run of steps and is the one owner of its cut into blocks:
+``evolve_points`` and ``trace_from_driving`` each hand it one run, and
+the scan ``block_cut_reads`` fails when either reads ``FAR_BLOCK``,
+``_block_run``, ``_steps`` or ``_rows``.  The extraction sweep walks a
+block's later points in one run of its own, which reads each tip after
+the block's earlier steps.  The names kept only for the benchmark's
+tracer, ``TRACER_ONLY``, have no caller at all.
 """
 
 import ast
@@ -251,6 +255,58 @@ def test_one_far_field_for_both_sweeps():
     assert far_field_callers(SERIES) == SERIES_CALLERS
     assert far_field_callers(SWEEP) == ["evolve_points", "trace_from_driving"]
     assert far_field_callers(ONE_BLOCK) == ["extract_driving"]
+
+
+# the sweep cuts a run into blocks; its two callers hand it a run and read
+# none of the names of the cut or of the partition's rows
+SWEEP_CALLERS = ("evolve_points", "trace_from_driving")
+BLOCK_CUT = {"FAR_BLOCK", BLOCK_RUN, "_steps", "_rows"}
+
+
+def block_cut_reads(package=PACKAGE):
+    """(function, line, name) of each read of a ``BLOCK_CUT`` name, as a
+    name or an attribute, inside a ``SWEEP_CALLERS`` function of
+    ``chordal.py``."""
+    with open(os.path.join(package, "chordal.py")) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in SWEEP_CALLERS:
+            for node in ast.walk(fn):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in BLOCK_CUT:
+                    found.append((fn.name, node.lineno, name))
+    return sorted(found)
+
+
+def test_only_the_sweep_cuts_its_run():
+    assert block_cut_reads() == []
+
+
+def test_cut_scan_flags_a_caller_that_cuts_blocks(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "chordal.py").write_text(textwrap.dedent("""
+        FAR_BLOCK = 32
+
+        def evolve_points(driving, s, t, points):
+            first, last = driving._rows(s, t)
+            rows = driving._steps[first : last + 1]
+            return _far_field_sweep(rows[:, 2], rows[:, 1], points, None)
+
+        def trace_from_driving(driving, grid):
+            last = _block_run(False, None, None, grid, grid)
+            return _far_field_sweep(None, None, last[FAR_BLOCK:], grid)
+
+        def extract_driving(trace):
+            return _block_run(True, None, None, trace[:FAR_BLOCK], trace)
+    """))
+    assert block_cut_reads(str(pkg)) == [
+        ("evolve_points", 5, "_rows"),
+        ("evolve_points", 6, "_steps"),
+        ("trace_from_driving", 10, "_block_run"),
+        ("trace_from_driving", 11, "FAR_BLOCK"),
+    ]
 
 
 def test_the_evolve_verb_reaches_the_far_field(tmp_path, monkeypatch):

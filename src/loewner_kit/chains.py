@@ -31,9 +31,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chordal import COLLISION_TOL, _uniformizer_walk, evolution_operator
+from .chordal import evolution_operator, hull_radius
 from .classes import class_c_check
-from .driving import check_windows, knot_lookup, knot_table
+from .driving import knot_lookup, knot_table
 from .errors import InvalidMap, OracleFailure, RangeMismatch
 from .maps import conjugate_by_cayley
 from .regularity import (
@@ -167,47 +167,31 @@ def slit_half_plane(driving, basepoint: complex = 2j) -> DomainFamily:
     curve; the remaining hull has capacity horizon - t, so the radius
     profile is nondecreasing and reaches 2 Im w at t = horizon.  The
     radius comes from the half-plane uniformizer U_t (the composition of
-    growing steps over [t, horizon]) as 2 Im U_t(w) / |U_t'(w)|.  A basepoint
-    inside the remaining hull is reported via :class:`OracleFailure`.
+    growing steps over [t, horizon]) as 2 Im U_t(w) / |U_t'(w)|.
 
-    Both oracles take their states from one backward walk of w through the
-    step partition (``chordal._uniformizer_walk``), with the floats of
-    ``hull_uniformizer(driving, t)``'s own walk, bit for bit.  Membership
-    is Im U_t(w) > ``chordal.COLLISION_TOL`` on that walk without the
-    derivative: at or below it the point has hit the hull, the rule of
-    ``extract_driving``.
+    Both oracles read one backward walk of w through the step partition,
+    ``chordal.hull_radius``, with the floats of ``hull_uniformizer(driving,
+    t)``'s own walk, bit for bit, and one hull rule: w is swallowed by the
+    remaining hull at t when its conformal radius r_t is at most
+    ``chordal.COLLISION_TOL`` (1e-9), or NaN.  By Koebe's quarter theorem
+    the distance from w to the boundary of Omega_t lies in [r_t / 4, r_t],
+    so a swallowed point lies within 1e-9 of the hull or inside it, and a
+    point in Omega_t lies farther than 2.5e-10 from it.  ``contains`` is
+    r_t > 0; ``radius`` reports a swallowed basepoint via
+    :class:`OracleFailure`.
     """
 
     def radius(ts: np.ndarray, w: complex) -> np.ndarray:
         if not (w.imag > 0 and cmath.isfinite(w)):
             raise OracleFailure(f"basepoint {w} is not in the half-plane")
-        z = np.asarray(w, dtype=complex)
-        # At the slit tip a step divides by a zero root, and the value check
-        # rejects that point before the derivative is read.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            states = _uniformizer_walk(driving, ts, z, np.ones_like(z))
-        out = []
-        for t, state in zip(ts.tolist(), states):
-            if state is None:
-                out.append(2.0 * w.imag)
-                continue
-            val = complex(state[0])
-            if val.imag <= COLLISION_TOL:
-                raise OracleFailure(f"basepoint {w} swallowed by the remaining hull at t = {t}")
-            out.append(2.0 * val.imag / abs(complex(state[1])))
-        return np.array(out)
+        radii = hull_radius(driving, ts, w)
+        if not radii.all():
+            t = ts.tolist()[int(np.argmax(radii == 0))]
+            raise OracleFailure(f"basepoint {w} swallowed by the remaining hull at t = {t}")
+        return radii
 
     def contains(ts: np.ndarray, w: complex) -> np.ndarray:
-        h = driving.horizon
-        # the walk's time check, also for a point that needs no walk
-        check_windows(np.minimum(ts, h), np.full(np.shape(ts), h), h)
-        if not cmath.isfinite(w):
-            raise InvalidMap(f"membership needs a finite point, got {w}")
-        if not w.imag > 0:
-            return np.zeros(len(ts), dtype=bool)
-        states = _uniformizer_walk(driving, ts, np.asarray(w, dtype=complex), None)
-        inside = [s is None or complex(s[0]).imag > COLLISION_TOL for s in states]
-        return np.array(inside, dtype=bool)
+        return hull_radius(driving, ts, w) > 0
 
     probes = (basepoint + 1j, basepoint + 2.0 + 1j, -1.5 + 0.8j)
     return DomainFamily(
@@ -387,12 +371,15 @@ def chain_report(profile: RadiusProfile, d: float) -> ChainReport:
 
 @dataclass(frozen=True)
 class TimeMap:
-    """Nondecreasing time change h with h(0) = 0, stored as knots."""
+    """Nondecreasing time change h with h(0) = 0, stored as knots: at least
+    one, all finite, at strictly increasing times."""
 
     knots: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
         table = knot_table(self.knots)
+        if not (len(table) and np.all(np.isfinite(table)) and np.all(table[1:, 0] > table[:-1, 0])):
+            raise InvalidMap("time map needs one or more finite knots at strictly increasing times")
         if np.any(table[1:, 1] < table[:-1, 1] - 1e-12):
             raise InvalidMap("time map must be nondecreasing")
         object.__setattr__(self, "_table", table)

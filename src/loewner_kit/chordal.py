@@ -44,6 +44,7 @@ __all__ = [
     "solve_phi_rk",
     "evolution_operator",
     "evolve_slices",
+    "hull_radius",
     "hull_uniformizer",
     "trace_from_driving",
     "extract_driving",
@@ -206,31 +207,49 @@ def evolve_slices(driving: DrivingFunction, s, t, z, d=None):
     return w if d is None else (w, d)
 
 
-def _uniformizer_walk(driving: DrivingFunction, ts: np.ndarray, z, d) -> list:
-    """(U_t(z), d U_t'(z)) at the 0-d point z for each time t of ``ts``, U_t
-    the map of :func:`hull_uniformizer`; None for t >= horizon.
+def hull_radius(driving: DrivingFunction, ts: np.ndarray, w: complex) -> np.ndarray:
+    """Conformal radius r_t = 2 Im U_t(w) / |U_t'(w)| of Omega_t at the
+    point w, for each time t of ``ts``: U_t is the map of
+    :func:`hull_uniformizer`, Omega_t the half-plane minus the hull left at
+    t.  From the horizon on no hull is left, and r_t = 2 Im w.
 
-    One walk of z through the step partition, last row first: for t in row
-    j = [t_j, t_{j+1}), U_t = G_[t, t_{j+1}] o U_{t_{j+1}}, so each t costs
-    one clipped grow step after the state stored at t_{j+1}.  The floats
-    are those of ``hull_uniformizer(driving, t)``'s own walk, bit for bit.
-    Each t is checked as the window [min(t, horizon), horizon].
+    The hull rule: r_t <= ``COLLISION_TOL``, or NaN, reads 0, and w has then
+    been swallowed by the remaining hull.  By Koebe's quarter theorem the
+    distance from w to the boundary of Omega_t lies in [r_t / 4, r_t], so a
+    point read as 0 lies within ``COLLISION_TOL`` of that boundary, and a
+    point read as inside lies farther than ``COLLISION_TOL`` / 4 from it.
+
+    Each t is checked first, as the window [min(t, horizon), horizon]; then
+    w must be finite, and a point off the open half-plane reads 0 at every
+    t.  One walk of w, with its derivative, through the step partition,
+    last row first: for t in row j = [t_j, t_{j+1}), U_t = G_[t, t_{j+1}] o
+    U_{t_{j+1}}, so each t costs one clipped grow step after the state
+    stored at t_{j+1}.  The floats are those of ``hull_uniformizer(driving,
+    t)``'s own walk, bit for bit.
     """
     h = driving.horizon
     rows = [x.tolist() for x in driving._rows(np.minimum(ts, h), np.full(np.shape(ts), h))]
+    if not cmath.isfinite(w):
+        raise InvalidMap(f"the hull radius needs a finite point, got {w}")
+    if not w.imag > 0:
+        return np.zeros(len(rows[0]))
     t0s, t1s, lams = driving._steps.T.tolist()
     cs = [2.0 * (t1 - t0) for t0, t1 in zip(t0s, t1s)]
     n = len(lams)
     # after[n - 1 - j]: the state over [t_{j+1}, horizon]; each step leaves
     # numpy scalars, as the run's own walk does
-    after = [(z, d)]
+    after = [(np.asarray(w, dtype=complex), np.ones((), dtype=complex))]
     top = min(rows[0], default=n)
-    slit_walk(z, d, lams[:top:-1], cs[:top:-1], lambda _, *state: after.append(state))
-    return [
-        None if k < j
-        else slit_walk(*after[n - 1 - j], (lams[j],), (2.0 * (t1s[j] - t),), None)
-        for t, j, k in zip(ts.tolist(), *rows)
-    ]
+    # at the slit tip a step divides by a zero root, and the radius reads 0 or NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slit_walk(*after[0], lams[:top:-1], cs[:top:-1], lambda _, *state: after.append(state))
+        # from the horizon on U_t is the identity
+        states = [
+            (w, 1.0) if k < j else slit_walk(*after[n - 1 - j], (lams[j],), (2.0 * (t1s[j] - t),), None)
+            for t, j, k in zip(ts.tolist(), *rows)
+        ]
+    radii = np.array([2.0 * complex(u).imag / abs(complex(du)) for u, du in states])
+    return np.where(radii > COLLISION_TOL, radii, 0.0)
 
 
 def hull_uniformizer(driving: DrivingFunction, t: float) -> MapEvaluator:

@@ -94,6 +94,15 @@ def _config_of(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file, or a :class:`ParseError` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})")
+
+
 def _csv_rows(path: str, headers: Tuple[str, ...]):
     """The header found (one of ``headers``, or None) and the data rows
     ``(line number, values)`` of a CSV file, numbered by file line.
@@ -102,8 +111,7 @@ def _csv_rows(path: str, headers: Tuple[str, ...]):
     the header found, or ``headers[0]`` when the first non-blank line is
     none of them.  A violation names the file and the line.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     top = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if top is None:
         raise EmptyFile(f"{path}: no content")
@@ -150,6 +158,14 @@ def parse_driving_csv(
         return DrivingFunction(knots, interp, horizon, n_sub)
     except InvalidMap as exc:
         raise ParseError(f"{path}: {exc}")
+
+
+def _read_driving(args, who: str, n_sub: int = 64) -> DrivingFunction:
+    """The driving term of ``--driving``, or a :class:`ParseError` saying that
+    ``who`` needs the flag."""
+    if not args.driving:
+        raise ParseError(f"{who} needs --driving")
+    return parse_driving_csv(args.driving, args.interp, args.horizon, n_sub)
 
 
 def _parse_points_csv(path: str) -> np.ndarray:
@@ -242,14 +258,14 @@ def _gamma_from_expr(expr: str):
 
 def _cmd_evolve(args) -> int:
     s, t = _finite(args.time_from, "--from"), _finite(args.time_to, "--to")
-    driving = parse_driving_csv(args.driving, args.interp, args.horizon, args.nsub)
+    driving = _read_driving(args, "evolve", args.nsub)
     out = evolve_points(driving, s, t, _parse_points_csv(args.points))
     _write_csv(args.out, "re,im", list(zip(out.real.tolist(), out.imag.tolist())))
     return 0
 
 
 def _cmd_trace(args) -> int:
-    driving = parse_driving_csv(args.driving, args.interp, args.horizon)
+    driving = _read_driving(args, "trace")
     grid = _parse_grid(args.grid)
     tips = trace_from_driving(driving, grid)
     _write_csv(args.out, "t,re,im", list(zip(grid.tolist(), tips.real.tolist(), tips.imag.tolist())))
@@ -263,11 +279,16 @@ def _cmd_extract(args) -> int:
 
 
 def _load_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})")
+    """The JSON value of a file; NaN, Infinity and a number too large for a
+    float are a :class:`ParseError` naming the file."""
+
+    def finite(text: str) -> float:
+        return _finite(text, path)
+
+    try:
+        return json.loads(_read_text(path), parse_float=finite, parse_constant=finite)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})")
 
 
 def _cmd_classify(args) -> int:
@@ -333,9 +354,7 @@ def _cmd_family_verify(args) -> int:
     elif args.family == "translation":
         fam, chain = translation_family(), translation_chain()
     else:
-        if not args.driving:
-            raise ParseError("family 'chordal' needs --driving")
-        driving = parse_driving_csv(args.driving, args.interp, args.horizon)
+        driving = _read_driving(args, "family 'chordal'")
         fam, chain = chordal_family(driving), chordal_chain(driving)
         t_hi = driving.horizon
 
@@ -379,9 +398,7 @@ def _cmd_chain(args) -> int:
         gamma = _gamma_from_expr(args.gamma)
         fam = cantor_family() if gamma is None else scaled_disks(gamma)
     elif args.family == "slit":
-        if not args.driving:
-            raise ParseError("family 'slit' needs --driving")
-        driving = parse_driving_csv(args.driving, args.interp, args.horizon)
+        driving = _read_driving(args, "family 'slit'")
         fam = slit_half_plane(driving, basepoint=basepoint)
     else:
         raise ParseError(f"unknown chain family {args.family!r}")
@@ -409,9 +426,7 @@ def _cmd_demo(args) -> int:
         _write_csv(args.out, "t,re,im", rows)
         return 0
     if args.scenario == "field":
-        if not args.driving:
-            raise ParseError("demo 'field' needs --driving")
-        driving = parse_driving_csv(args.driving, args.interp, args.horizon)
+        driving = _read_driving(args, "demo 'field'")
         from .chordal import DiskField
 
         field = DiskField.from_driving(driving)
@@ -508,7 +523,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LoewnerKitError as exc:

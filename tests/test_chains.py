@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from loewner_kit import (
     DrivingFunction,
+    TimeMap,
     cantor_family,
     cantor_function,
     chain_report,
@@ -90,6 +91,31 @@ class TestRadiusOracles:
         with pytest.raises(OracleFailure):
             fam.radius(0.0)  # 2i is the tip of the full slit
 
+    @pytest.mark.parametrize("horizon", [0.25, 0.5, 1.0, 2.0, 3.0])
+    def test_slit_tip_is_swallowed(self, horizon):
+        # the tip i sqrt(2 horizon) of the full slit lies on the hull; at
+        # horizons 0.25 and 1 its walked Im U_0 is not 0 but its conformal
+        # radius is, to 3e-16 and 6e-16
+        tip = 1j * math.sqrt(2.0 * horizon)
+        fam = slit_half_plane(DrivingFunction.constant(0.0, horizon), basepoint=tip)
+        with pytest.raises(OracleFailure, match=re.escape("swallowed by the remaining hull at t = 0.0")):
+            fam.radius(0.0)
+        assert not fam.contains(0.0, tip)
+
+    def test_hull_point_of_a_sin_driving_is_swallowed(self):
+        # the tip grown at t = 0.5 by const sin(3t) knots, pushed to the
+        # horizon, stays on the hull until the hull is erased past 0.5; its
+        # radius over t <= 0.5 is 3.6e-16
+        ts = np.linspace(0.0, 1.0, 5)
+        d = DrivingFunction.from_samples(ts, np.sin(3.0 * ts), "const", 1.2)
+        w = complex(evolution_operator(d, 0.5, 1.2).evaluate(d.value(0.5) + 1e-300j))
+        fam = slit_half_plane(d, basepoint=w)
+        grid = np.linspace(0.0, 1.2, 13)
+        with pytest.raises(OracleFailure, match=re.escape("at t = 0.0") + "$"):
+            fam.radius_fn(grid, w)
+        assert fam.contains_fn(grid, w).tolist() == (grid > 0.5).tolist()
+        assert np.all(fam.radius_fn(grid[6:], w) > 0.4)
+
     def test_profile_monotone_for_builtins(self):
         grids = np.linspace(0.05, 2.0, 64)
         fams = [
@@ -111,7 +137,7 @@ def walked_radius(d, t, w):
     u = hull_uniformizer(d, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         val, der = complex(u.evaluate(w)), complex(u.derivative(w))
-    return None if val.imag <= 1e-9 else 2.0 * val.imag / abs(der)
+    return r if (r := 2.0 * val.imag / abs(der)) > 1e-9 else None
 
 
 @st.composite
@@ -177,7 +203,7 @@ class TestRadiusSweep:
 def walked_membership(d, t, w):
     """Whether w lies in Omega_t, from ``hull_uniformizer(d, t)`` built and
     walked for this t alone."""
-    return t >= d.horizon or complex(hull_uniformizer(d, t).evaluate(w)).imag > 1e-9
+    return t >= d.horizon or walked_radius(d, t, w) is not None
 
 
 class TestMembership:
@@ -328,6 +354,21 @@ class TestCantorFunction:
         xs = np.sort(rng.uniform(0, 1, 200))
         vals = [cantor_function(float(x)) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+class TestTimeMap:
+    @pytest.mark.parametrize("knots", [
+        (),
+        ((0.0, 0.0), (1.0, 0.5), (0.5, 0.7)),
+        ((0.0, 0.0), (1.0, 0.5), (1.0, 0.7)),
+        ((0.0, 0.0), (math.nan, 0.5)),
+        ((0.0, 0.0), (1.0, math.inf)),
+    ], ids=["empty", "unsorted", "repeated", "nan-time", "infinite-value"])
+    def test_unusable_knots_rejected(self, knots):
+        # unsorted times read 0.375 at t = 0.75 and a NaN time read NaN;
+        # an empty map failed only when read, with an IndexError
+        with pytest.raises(InvalidMap, match="one or more finite knots at strictly increasing times"):
+            TimeMap(knots)
 
 
 class TestReparametrize:

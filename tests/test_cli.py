@@ -509,3 +509,73 @@ class TestBadFlagValues:
         assert main(["classify", "--map", spec, "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["memberships"]["P0"] is False and "p0_error" in rep["diagnostics"]
+
+
+class TestMissingDriving:
+    """Every verb that reads a driving term exits 2 without ``--driving``,
+    with a message that names the verb or family."""
+
+    @pytest.mark.parametrize("argv, who", [
+        (["evolve", "--from", "0", "--to", "1", "--points", "p.csv"], "evolve"),
+        (["trace", "--grid", "0:1:5"], "trace"),
+        (["family-verify", "--family", "chordal"], "family 'chordal'"),
+        (["chain", "--family", "slit", "--grid", "0.1:1:5"], "family 'slit'"),
+        (["demo", "field"], "demo 'field'"),
+    ], ids=["evolve", "trace", "family-verify", "chain", "demo-field"])
+    def test_exit_2(self, tmp_path, capsys, argv, who):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {who} needs --driving" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestBadFiles:
+    """A path that cannot be read or written, and a file that is not UTF-8
+    text, exit 2 with a message that names the path."""
+
+    def test_trace_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "rec.csv"
+        assert main(["extract", "--trace", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_output_that_is_a_directory(self, tmp_path, zero_driving, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["trace", "--driving", zero_driving, "--horizon", "1",
+                     "--grid", "0:1:5", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        # the temporary file beside it is gone
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "zero.csv"]
+
+    def test_csv_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "d.csv"
+        bad.write_bytes(b"t,lambda\n0,0\n1,\xff\n")
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--driving", str(bad), "--grid", "0:1:5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestNonFiniteJson:
+    """NaN, Infinity and a float literal too large for a float are rejected
+    in map specs and family specs alike, with a message naming the file."""
+
+    @pytest.mark.parametrize("verb, spec", [
+        ("classify", '{"kind": "slit_step", "lam": NaN, "capacity": 1.0}'),
+        ("classify", '{"kind": "affine", "a": [Infinity, 0], "b": [0, 0]}'),
+        ("classify", '{"kind": "affine", "a": [-Infinity, 0], "b": [0, 0]}'),
+        ("classify", '{"kind": "slit_step", "lam": 1e400, "capacity": 1.0}'),
+        ("family-verify", '{"family": "radial", "horizon": NaN}'),
+    ], ids=["nan", "infinity", "minus-infinity", "overflow", "family-spec"])
+    def test_exit_2(self, tmp_path, capsys, verb, spec):
+        bad = write(tmp_path / "spec.json", spec)
+        out = tmp_path / "r.json"
+        flag = "--map" if verb == "classify" else "--family-spec"
+        assert main([verb, flag, bad, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad} needs a finite number" in err and "Traceback" not in err
+        assert not out.exists()

@@ -126,7 +126,7 @@ WALK_CALLERS = {
     "grow_many",
     "evolve_slices",
     BLOCK_RUN,
-    "_uniformizer_walk",
+    "hull_radius",
     "extract_driving",
 }
 

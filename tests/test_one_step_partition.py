@@ -4,7 +4,7 @@ window, and the walks over it live in ``chordal.py``.
 ``DrivingFunction._rows(s, t)`` is the one locator: it checks each window
 with ``driving.check_windows`` and returns the first and last row of the
 partition that the window meets.  ``segments``, ``chordal.evolve_slices``
-and the slit family's backward walk (``chordal._uniformizer_walk``) all
+and the slit family's backward walk (``chordal.hull_radius``) all
 use it, so a time outside [0, horizon], or NaN, fails everywhere with one
 message.  The AST scan keeps a second search over the partition, or a
 second walker, from coming back in ``chordal.py``, ``chains.py`` or
